@@ -28,8 +28,8 @@ from .metrics import (MetricProvider, ScalarField, conformal_metric, euclidean,
                       bergman_ball, list_metrics, mobius_pullback,
                       poincare_disk, resolve_metric, scaled, torsion_example,
                       with_fd_backend)
-from .radial import (NormalizedFlowState, RadialProfile, RadialRun, normalize,
-                     radial_flow_step, run_normalized_radial, run_radial_flow)
+from .radial import (NormalizedFlowState, RadialRun, normalize,
+                     run_normalized_radial, run_radial_flow)
 from .scenarios import load_config, run_scenario, verify_all
 from .traces import TraceDiagnostics, royden_check, trace_and_terms
 

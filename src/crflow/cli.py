@@ -7,6 +7,9 @@
 
 Output root: --output, else $CRFLOW_OUTPUT_ROOT, else ./crflow-out.
 Exit codes: 0 pass, 1 check failure, 2 config error, 3 flow breakdown.
+`verify` exits with the worst code of its scenarios; a scenario whose run or
+check raises is listed as an "(error)" row and counts 3 if a flow broke down
+(FlowBreakdownError), else 1, and the other scenarios still run.
 """
 from __future__ import annotations
 

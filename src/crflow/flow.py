@@ -29,10 +29,6 @@ import numpy as np
 
 from .errors import FlowBreakdownError
 
-RK4_NODES = (0.0, 0.5, 0.5, 1.0)
-RK4_WEIGHTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
-
-
 def rk4_step(t, y, dt, rhs):
     """One RK4 step for a tuple-of-arrays state."""
     k1 = rhs(t, y)

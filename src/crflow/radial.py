@@ -12,7 +12,12 @@ either Dirichlet data from a supplied field (exact Kahler-Einstein values or
 an exact homothety, for convergence runs) or cubic extrapolation from the
 interior (for identity checks).
 
-Stencils are 4th or 6th order (two or three ghost cells per side).
+Stencils are 4th or 6th order (two or three ghost cells per side).  ddbar
+is one sparse operator per outer closure, with the origin mirror folded in,
+applied to u - u[0], so it is exactly 0.0 on constants: the extrapolated
+closure grows round-off about 1e6-fold (2-norm of exp((e^3 - 1) A), 64
+nodes) over a flat normalized run to s = 3.  The radial flows step through
+one RK4 driver.
 
 Exact references on the disk (checked symbolically):
     homothety      lam(r, t) = (1 + 2t) (1 - r^2)^-2      (Ric = -2 g at t=0)
@@ -29,6 +34,10 @@ from scipy import sparse
 
 from .errors import FlowBreakdownError
 from .flow import cfl_bound
+
+# scipy's CSR kernel, called without the dispatch of `@`, which costs about
+# three times the product itself at 64-512 nodes
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 # ---------------------------------------------------------------------------
 # exact solutions
@@ -72,9 +81,9 @@ class RadialGrid:
         if order not in (4, 6):
             raise ValueError("radial stencil order must be 4 or 6")
         self.r_max = float(r_max)
-        self.m = int(nodes)
+        self.m = m = int(nodes)
         self.order = order
-        self.ng = order // 2  # ghost cells per side
+        self.ng = ng = order // 2  # ghost cells per side
         self.h = self.r_max / self.m
         self.r = (np.arange(self.m) + 0.5) * self.h
         self._rg_outer = self.r_max + (np.arange(self.ng) + 0.5) * self.h
@@ -85,15 +94,37 @@ class RadialGrid:
             self._w1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
             self._w2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0,
                                  2.0]) / 180.0
-        # ddbar's two stencils folded into one set of per-node weights,
-        # W[i, j] = (w2[j]/h^2 + w1[j]/(h r_i)) / 4, applied to the padded
-        # vector as one banded sparse product (row i reads g[i:i + width])
-        W = 0.25 * (self._w2 / self.h**2 + self._w1 / (self.h * self.r[:, None]))
-        width = len(self._w1)
-        cols = np.arange(self.m)[:, None] + np.arange(width)
-        self._ddbar_op = sparse.csr_array(
-            (W.ravel(), cols.ravel(), np.arange(0, W.size + 1, width)),
-            shape=(self.m, self.m + 2 * self.ng))
+        # ddbar's two stencils folded into per-node weights on the padded
+        # vector g, W[i, j] = (w2[j]/h^2 + w1[j]/(h r_i)) / 4 for g[i + j],
+        # then moved onto x = (u, outer ghosts) as a band: band[i, b] weighs
+        # x[i + b - lo], where g[p] = x[p - ng] but for the closures
+        lo = max(ng, 3)     # room for the extrapolation, which reads u[m - 4]
+        given = np.zeros((m, lo + 1 + ng))
+        given[:, lo - ng:] = 0.25 * (self._w2 / self.h**2
+                                     + self._w1 / (self.h * self.r[:, None]))
+        for i in range(ng):         # even mirror: g[p] = u[ng - 1 - p], p < ng
+            for p in range(i, ng):
+                given[i, lo - i + ng - 1 - p] += given[i, lo - i + p - ng]
+                given[i, lo - i + p - ng] = 0.0
+        forms = np.eye(4 + ng, 4)   # ghost k = forms[4 + k] @ u[m - 4:m]
+        for k in range(ng):
+            forms[4 + k] = np.array([-1.0, 4.0, -6.0, 4.0]) @ forms[k:k + 4]
+        extrapolated = given.copy()
+        for i in range(m - ng, m):
+            row = extrapolated[i, lo + m - 4 - i:]      # from x[m - 4]
+            for k in range(i + ng - m + 1):             # the ghosts row i reads
+                row[:4] += row[4 + k] * forms[4 + k]
+                row[4 + k] = 0.0
+        # each operator is m x (m + ng): the interior block with the closure
+        # folded in, and the ng x ng block coupling given ghosts to the last
+        # ng rows; the zero weights outside the operator point at x[0] and,
+        # extrapolating, at x[m - 1], never at stale ghost values
+        cols = np.arange(m)[:, None] + np.arange(-lo, ng + 1)
+        self._given, self._extrapolated = (sparse.csr_array(
+            (band.ravel(), np.clip(cols, 0, last).ravel(),
+             np.arange(0, band.size + 1, band.shape[1])), shape=(m, m + ng))
+            for band, last in ((given, m + ng - 1), (extrapolated, m - 1)))
+        self._x = np.zeros(m + ng)
 
     def pad(self, u, outer: Optional[np.ndarray] = None):
         """Mirror ghosts across r=0; outer ghosts given or extrapolated."""
@@ -110,49 +141,32 @@ class RadialGrid:
                 g[self.m + ng + k] = c @ g[self.m + ng + k - 4:self.m + ng + k]
         return g
 
-    def _stencil(self, g, w):
-        width = len(w)
-        out = w[0] * g[:self.m]
-        for j in range(1, width):
-            out = out + w[j] * g[j:j + self.m]
-        return out
-
     def d1(self, u, outer=None):
-        return self._stencil(self.pad(u, outer), self._w1) / self.h
-
-    def d2(self, u, outer=None):
-        return self._stencil(self.pad(u, outer), self._w2) / self.h**2
+        g = self.pad(u, outer)
+        return sum(w * g[j:j + self.m] for j, w in enumerate(self._w1)) / self.h
 
     def ddbar(self, u, outer=None):
-        """(u_rr + u_r/r)/4 with the even-mirror origin closure."""
-        return self._ddbar_op @ self.pad(u, outer)
+        """(u_rr + u_r/r)/4 with the even-mirror origin closure, as
+        A @ (u - u[0]) + B @ (outer - u[0]): the rows of [A B] sum to zero, so
+        the shift changes only rounding, and a constant gives exactly 0.0."""
+        m, x = self.m, self._x
+        u0 = u[0]
+        np.subtract(u, u0, out=x[:m])
+        if outer is None:
+            op = self._extrapolated
+        else:
+            np.subtract(outer, u0, out=x[m:])
+            op = self._given
+        out = np.zeros(m)
+        _csr_matvec(m, m + self.ng, op.indptr, op.indices, op.data, x, out)
+        return out
 
     def outer_ghost_radii(self):
         return self._rg_outer
 
 
-@dataclass
-class RadialProfile:
-    n: int
-    r_grid: np.ndarray
-    lam: np.ndarray
-    boundary_condition: str = "extrapolate"   # or "dirichlet"
-
-    def __post_init__(self):
-        if self.n != 1:
-            raise ValueError("radial reduction implemented for n = 1")
-        if np.any(self.lam <= 0):
-            raise ValueError("metric profile must be positive")
-
-    def regularity_residual(self, grid: RadialGrid) -> float:
-        """|lam'(0)| estimated from a cubic fit through the innermost cells;
-        vanishes to stencil order for profiles smooth (even) at the origin."""
-        c = np.polyfit(grid.r[:4], self.lam[:4], 3)
-        return float(abs(c[2]))
-
-
 # ---------------------------------------------------------------------------
-# right-hand sides and stepping
+# right-hand sides and the stepping driver
 # ---------------------------------------------------------------------------
 
 def _require_positive(grid, v, t, floor):
@@ -174,6 +188,26 @@ def _ghosts_for(field_fn, grid, t):
     return field_fn(grid.outer_ghost_radii(), t)
 
 
+def _log_field(boundary):
+    if boundary is None:
+        return None
+    return lambda r, t: np.log(boundary(r, t))
+
+
+def _once_per_time(field_fn):
+    """`field_fn(r, t)` at one grid's ghost radii, evaluated once per distinct
+    t: two of RK4's stages share t + dt/2, and t + dt is the next step's t."""
+    if field_fn is None:
+        return None
+    last = [None, None]
+
+    def cached(r, t):
+        if last[0] != t:
+            last[0], last[1] = t, field_fn(r, t)
+        return last[1]
+    return cached
+
+
 def radial_rhs(grid: RadialGrid, lam, t, boundary_log=None, normalized=False):
     """d_t lam at the nodes; `boundary_log(r, t)` supplies log-lam ghosts."""
     u = np.log(lam)
@@ -187,33 +221,43 @@ def scalar_curvature(grid: RadialGrid, lam, t=0.0, boundary_log=None):
     return -grid.ddbar(u, _ghosts_for(boundary_log, grid, t)) / lam
 
 
-def radial_flow_step(grid: RadialGrid, profile: RadialProfile, dt: float,
-                     t: float, *, boundary=None, normalized=False):
-    """One RK4 step; `boundary(r, t)` gives lam ghost values (Dirichlet mode)."""
-    blog = None
-    if boundary is not None:
-        blog = lambda r, tt: np.log(boundary(r, tt))
+def _rk4(y, t_end, rhs, cfl, check, *, cfl_every=1, frame_dt=None, frame=None):
+    """Explicit RK4 from t = 0 to t_end on the stacked state y (c x m).
 
-    lam = profile.lam
-
-    def f(tt, v):
-        if np.any(v <= 0):
-            bad = int(np.argmin(v))
-            raise FlowBreakdownError(tt, ("r", float(grid.r[bad])),
-                                     f"lam={v[bad]:.3e}")
-        return radial_rhs(grid, v, tt, blog, normalized)
-
-    k1 = f(t, lam)
-    k2 = f(t + 0.5 * dt, lam + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, lam + 0.5 * dt * k2)
-    k4 = f(t + dt, lam + dt * k3)
-    new = lam + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if np.any(new <= 0):
-        bad = int(np.argmin(new))
-        raise FlowBreakdownError(t + dt, ("r", float(grid.r[bad])),
-                                 f"lam={new[bad]:.3e}")
-    profile.lam = new
-    return profile
+    `rhs(t, y, out)` writes dy/dt into out.  `cfl(t, y)`, the step limit, is
+    recomputed every `cfl_every` steps.  `check(t, y)` raises
+    FlowBreakdownError on the initial and each accepted state; stages go
+    unchecked, as a negative stage turns into NaN, which fails the check.
+    `frame(step, t, y)` runs at t = 0, every `frame_dt` and at t_end, and
+    steps are cut to land on those times.  Returns (y, steps, t, error) at
+    the last accepted state; error is the breakdown that stopped the run.
+    """
+    k = np.empty((4,) + y.shape)
+    t, step, next_frame, dt_cfl = 0.0, 0, 0.0, None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        try:
+            check(t, y)
+            while True:
+                if frame is not None and (t >= next_frame - 1e-14
+                                          or t >= t_end - 1e-14):
+                    frame(step, t, y)
+                    next_frame += frame_dt
+                if t >= t_end - 1e-14:
+                    break
+                if dt_cfl is None or step % cfl_every == 0:
+                    dt_cfl = cfl(t, y)
+                dt = min(dt_cfl, t_end - t,
+                         next_frame - t if next_frame > t else t_end - t)
+                rhs(t, y, k[0])
+                rhs(t + dt / 2, y + dt / 2 * k[0], k[1])
+                rhs(t + dt / 2, y + dt / 2 * k[1], k[2])
+                rhs(t + dt, y + dt * k[2], k[3])
+                new = y + dt / 6 * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
+                check(t + dt, new)
+                y, t, step = new, t + dt, step + 1
+        except FlowBreakdownError as e:
+            return y, step, t, e
+    return y, step, t, None
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +289,7 @@ class RadialRun:
         return np.array([f.time for f in self.frames])
 
     def _blog(self):
-        if self.boundary is None:
-            return None
-        return lambda r, tt: np.log(self.boundary(r, tt))
+        return _log_field(self.boundary)
 
     def ke_residual(self, fr: Frame) -> float:
         """sup |Ric(g) + g|_g with the run's own discrete operator and ghosts."""
@@ -292,62 +334,38 @@ def run_radial_flow(lam0, r_max, t_end, *, nodes=256, boundary=None,
 
     `boundary(r, t)` gives exact Dirichlet ghost values; None extrapolates.
     Frames are captured every `frame_dt` of flow time (default: 50 per run).
+    With `with_potential`, psi solves d_t psi = log(lam/lam0).  On breakdown
+    the last frame is the last accepted state.
     """
     grid = RadialGrid(r_max, nodes, order)
-    lam = lam0(grid.r) if callable(lam0) else np.asarray(lam0, float).copy()
-    lam00 = lam.copy()
-    psi = np.zeros_like(lam) if with_potential else None
+    lam00 = lam0(grid.r) if callable(lam0) else np.asarray(lam0, float).copy()
+    y = np.zeros((2 if with_potential else 1, grid.m))
+    y[0] = lam00
     run = RadialRun(grid=grid, normalized=False, h_reference=h_reference,
                     boundary=boundary)
-    frame_dt = frame_dt or t_end / 50.0
-    blog = None
-    if boundary is not None:
-        blog = lambda r, tt: np.log(boundary(r, tt))
+    blog = _once_per_time(_log_field(boundary))
 
-    t, step, next_frame = 0.0, 0, 0.0
-    dt_cfl = None
-    while True:
-        if t >= next_frame - 1e-14 or t >= t_end - 1e-14:
-            run.frames.append(Frame(step, t, lam.copy(),
-                                    psi=None if psi is None else psi.copy()))
-            next_frame += frame_dt
-        if t >= t_end - 1e-14:
-            break
-        if dt_cfl is None or step % cfl_every == 0:
-            R = scalar_curvature(grid, lam, t, blog)
-            ric_scale = max(max_ric_scale_floor, float(np.max(np.abs(R))))
-            dt_cfl = cfl_bound(float(lam.min()), ric_scale, grid.h, safety)
-        dt = min(dt_cfl, t_end - t,
-                 next_frame - t if next_frame > t else t_end - t)
+    def rhs(tt, v, out):
+        out[0] = radial_rhs(grid, v[0], tt, blog, False)
+        if with_potential:
+            np.log(np.divide(v[0], lam00, out=out[1]), out=out[1])
 
-        def f(tt, y):
-            v = y[0]
-            _require_positive(grid, v, tt, min_eig_floor)
-            out = [radial_rhs(grid, v, tt, blog, False)]
-            if psi is not None:
-                out.append(np.log(v / lam00))
-            return out
+    def cfl(tt, v):
+        R = scalar_curvature(grid, v[0], tt, blog)
+        ric_scale = max(max_ric_scale_floor, float(np.max(np.abs(R))))
+        return cfl_bound(float(v[0].min()), ric_scale, grid.h, safety)
 
-        try:
-            y = [lam] if psi is None else [lam, psi]
-            k1 = f(t, y)
-            k2 = f(t + dt / 2, [a + dt / 2 * b for a, b in zip(y, k1)])
-            k3 = f(t + dt / 2, [a + dt / 2 * b for a, b in zip(y, k2)])
-            k4 = f(t + dt, [a + dt * b for a, b in zip(y, k3)])
-            y = [a + dt / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-            lam = y[0]
-            if psi is not None:
-                psi = y[1]
-            _require_positive(grid, lam, t + dt, min_eig_floor)
-        except FlowBreakdownError as e:
-            run.broken = True
-            run.breakdown = str(e)
-            run.frames.append(Frame(step, t, lam.copy()))
-            break
-        t += dt
-        step += 1
-    run.steps_taken = step
+    def frame(step, tt, v):
+        run.frames.append(Frame(step, tt, v[0].copy(),
+                                psi=v[1].copy() if with_potential else None))
+
+    y, run.steps_taken, t, err = _rk4(
+        y, t_end, rhs, cfl,
+        lambda tt, v: _require_positive(grid, v[0], tt, min_eig_floor),
+        cfl_every=cfl_every, frame_dt=frame_dt or t_end / 50.0, frame=frame)
+    if err is not None:
+        run.broken, run.breakdown = True, str(err)
+        run.frames.append(Frame(run.steps_taken, t, y[0].copy()))
     return run
 
 
@@ -361,53 +379,30 @@ def run_normalized_radial(lam0, r_max, s_end, *, nodes=128, boundary=None,
     for the metric (typically the exact KE profile, s-independent).
     """
     grid = RadialGrid(r_max, nodes, order)
-    lam = lam0(grid.r) if callable(lam0) else np.asarray(lam0, float).copy()
-    lam_init = lam.copy()
-    phi = np.zeros_like(lam)
+    lam_init = lam0(grid.r) if callable(lam0) else np.asarray(lam0, float).copy()
+    y = np.zeros((2, grid.m))
+    y[0] = lam_init
     run = RadialRun(grid=grid, normalized=True, h_reference=h_reference,
                     boundary=boundary)
-    frame_ds = frame_ds or s_end / 50.0
-    blog = None
-    if boundary is not None:
-        blog = lambda r, ss: np.log(boundary(r, ss))
+    blog = _once_per_time(_log_field(boundary))
 
-    s, step, next_frame = 0.0, 0, 0.0
-    dt_cfl = None
-    while True:
-        if s >= next_frame - 1e-14 or s >= s_end - 1e-14:
-            pprime = np.log(lam / lam_init) - phi
-            run.frames.append(Frame(step, s, lam.copy(), phi=phi.copy(),
-                                    phi_prime=pprime))
-            next_frame += frame_ds
-        if s >= s_end - 1e-14:
-            break
-        if dt_cfl is None or step % cfl_every == 0:
-            dt_cfl = cfl_bound(float(lam.min()), 1.0, grid.h, safety)
-        dt = min(dt_cfl, s_end - s,
-                 next_frame - s if next_frame > s else s_end - s)
+    def rhs(ss, v, out):
+        out[0] = radial_rhs(grid, v[0], ss, blog, True)
+        np.log(np.divide(v[0], lam_init, out=out[1]), out=out[1])
+        out[1] -= v[1]
 
-        def f(ss, y):
-            v, p = y
-            _require_positive(grid, v, ss, min_eig_floor)
-            return [radial_rhs(grid, v, ss, blog, True),
-                    np.log(v / lam_init) - p]
+    def frame(step, ss, v):
+        lam, phi = v
+        run.frames.append(Frame(step, ss, lam.copy(), phi=phi.copy(),
+                                phi_prime=np.log(lam / lam_init) - phi))
 
-        try:
-            y = [lam, phi]
-            k1 = f(s, y)
-            k2 = f(s + dt / 2, [a + dt / 2 * b for a, b in zip(y, k1)])
-            k3 = f(s + dt / 2, [a + dt / 2 * b for a, b in zip(y, k2)])
-            k4 = f(s + dt, [a + dt * b for a, b in zip(y, k3)])
-            lam, phi = [a + dt / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
-                        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-            _require_positive(grid, lam, s + dt, min_eig_floor)
-        except FlowBreakdownError as e:
-            run.broken = True
-            run.breakdown = str(e)
-            break
-        s += dt
-        step += 1
-    run.steps_taken = step
+    _, run.steps_taken, _, err = _rk4(
+        y, s_end, rhs,
+        lambda ss, v: cfl_bound(float(v[0].min()), 1.0, grid.h, safety),
+        lambda ss, v: _require_positive(grid, v[0], ss, min_eig_floor),
+        cfl_every=cfl_every, frame_dt=frame_ds or s_end / 50.0, frame=frame)
+    if err is not None:
+        run.broken, run.breakdown = True, str(err)
     return run
 
 
@@ -418,40 +413,30 @@ def run_radial_potential_flow(lam0, r_max, t_end, *, nodes=256, boundary_psi=Non
     d_t psi = log((lam0 - t Ric0 + ddbar psi)/lam0); the reconstruction
     lam = lam0 - t Ric0 + ddbar psi is the returned metric.  Boundary ghosts
     for psi come from `boundary_psi(r, t)` (exact values) or extrapolation.
+    Raises FlowBreakdownError when the reconstruction leaves the positive
+    cone or turns non-finite.
     """
     grid = RadialGrid(r_max, nodes, order)
     lam00 = lam0(grid.r) if callable(lam0) else np.asarray(lam0, float).copy()
-    blog_lam = None
-    if boundary_lam is not None:
-        blog_lam = lambda r, tt: np.log(boundary_lam(r, tt))
-    ric0 = -grid.ddbar(np.log(lam00), _ghosts_for(blog_lam, grid, 0.0))
-    psi = np.zeros_like(lam00)
+    ric0 = -grid.ddbar(np.log(lam00),
+                       _ghosts_for(_log_field(boundary_lam), grid, 0.0))
+    psi_ghosts = _once_per_time(boundary_psi)
 
     def reconstruct(p, tt):
-        ghosts = _ghosts_for(boundary_psi, grid, tt)
-        return lam00 - tt * ric0 + grid.ddbar(p, ghosts)
+        return lam00 - tt * ric0 + grid.ddbar(p, _ghosts_for(psi_ghosts, grid, tt))
 
-    t = 0.0
-    while t < t_end - 1e-14:
-        lam = reconstruct(psi, t)
-        if np.any(lam <= 0):
-            raise FlowBreakdownError(t, "radial", "reconstructed form lost positivity")
-        dt = min(cfl_bound(float(lam.min()), 2.0, grid.h, safety), t_end - t)
+    def rhs(tt, v, out):
+        np.log(np.divide(reconstruct(v[0], tt), lam00, out=out[0]), out=out[0])
 
-        def f(tt, p):
-            rec = reconstruct(p, tt)
-            if np.any(rec <= 0):
-                raise FlowBreakdownError(tt, "radial",
-                                         "reconstructed form lost positivity")
-            return np.log(rec / lam00)
+    def cfl(tt, v):
+        return cfl_bound(float(reconstruct(v[0], tt).min()), 2.0, grid.h, safety)
 
-        k1 = f(t, psi)
-        k2 = f(t + dt / 2, psi + dt / 2 * k1)
-        k3 = f(t + dt / 2, psi + dt / 2 * k2)
-        k4 = f(t + dt, psi + dt * k3)
-        psi = psi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-    return grid, psi, reconstruct(psi, t), t
+    y, _, t, err = _rk4(
+        np.zeros((1, grid.m)), t_end, rhs, cfl,
+        lambda tt, v: _require_positive(grid, reconstruct(v[0], tt), tt, 0.0))
+    if err is not None:
+        raise err
+    return grid, y[0], reconstruct(y[0], t), t
 
 
 # ---------------------------------------------------------------------------

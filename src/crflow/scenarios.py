@@ -219,12 +219,13 @@ def _execute_flow(cfg, result: ScenarioResult):
         result.run = RD.run_normalized_radial(
             init, rmax, fl["s_max"], nodes=res, boundary=bnd,
             safety=fl["safety"], order=fl["order"], frame_ds=fl["frame_dt"],
-            h_reference=href)
+            h_reference=href, min_eig_floor=fl["min_eig_floor"])
     else:  # two-phase-normalized
         phase1 = RD.run_radial_flow(
             init, rmax, fl["phase1_t"], nodes=res, boundary=bnd,
             safety=fl["safety"], order=fl["order"],
-            frame_dt=fl["phase1_t"] / 20.0, h_reference=href)
+            frame_dt=fl["phase1_t"] / 20.0, h_reference=href,
+            min_eig_floor=fl["min_eig_floor"])
         result.phase1 = phase1
         if phase1.broken:
             result.broken, result.breakdown = True, phase1.breakdown
@@ -233,7 +234,7 @@ def _execute_flow(cfg, result: ScenarioResult):
         result.run = RD.run_normalized_radial(
             phase1.frames[-1].lam, rmax, fl["s_max"], nodes=res, boundary=bnd2,
             safety=fl["safety"], order=fl["order"], frame_ds=fl["frame_dt"],
-            h_reference=href)
+            h_reference=href, min_eig_floor=fl["min_eig_floor"])
     if result.run is not None and result.run.broken:
         result.broken, result.breakdown = True, result.run.breakdown
 
@@ -407,12 +408,13 @@ def run_scenario(config, output_dir=None) -> dict:
         for name in cfg.get("checks", []):
             result.checks.append(_CHECK_FNS[name](cfg, result))
     wall = time.time() - t0
+    rows = _csv_rows(result)
 
     report = {
         "schema_version": artifacts.SCHEMA_VERSION,
         "scenario": cfg["scenario_name"],
         "config": cfg,
-        "frames_written": len(_csv_rows(result)),
+        "frames_written": len(rows),
         "broken": result.broken,
         "breakdown": result.breakdown,
         "checks": [c.to_json() for c in result.checks],
@@ -425,7 +427,7 @@ def run_scenario(config, output_dir=None) -> dict:
     out = output_dir or cfg.get("output")
     if out:
         d = os.path.join(out, cfg["scenario_name"])
-        artifacts.write_run_csv(os.path.join(d, "run.csv"), _csv_rows(result))
+        artifacts.write_run_csv(os.path.join(d, "run.csv"), rows)
         artifacts.write_json(os.path.join(d, "report.json"), report)
         artifacts.write_json(os.path.join(d, "timing.json"),
                              {"wall_time_s": wall})
@@ -436,6 +438,9 @@ def verify_all(manifest_path, output_dir) -> tuple:
     """Run every scenario in a manifest; returns (exit_code, table).
 
     Exit codes: 0 all pass, 1 check failure, 2 config error, 3 breakdown.
+    A scenario that raises yields an "(error)" row: exit code 3 for a
+    FlowBreakdownError (a check's own re-run broke down), 1 otherwise; the
+    remaining scenarios still run.
     """
     if not os.path.exists(manifest_path):
         raise ManifestError(f"manifest {manifest_path!r} not found")
@@ -457,6 +462,12 @@ def verify_all(manifest_path, output_dir) -> tuple:
             table.append({"scenario": entry, "check": "(config)",
                           "slack": None, "pass": False, "detail": str(e)})
             worst = max(worst, 2)
+            continue
+        except Exception as e:
+            table.append({"scenario": entry, "check": "(error)",
+                          "slack": None, "pass": False,
+                          "detail": f"{type(e).__name__}: {e}"})
+            worst = max(worst, 3 if isinstance(e, FlowBreakdownError) else 1)
             continue
         if report["broken"]:
             table.append({"scenario": report["scenario"], "check": "(flow)",

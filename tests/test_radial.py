@@ -44,22 +44,18 @@ def test_potential_vs_metric_form_agree():
     assert np.abs((lam_rec - fr.lam)[mask]).max() < 1e-7
 
 
-def test_radial_profile_validation():
-    with pytest.raises(ValueError):
-        RD.RadialProfile(n=2, r_grid=np.array([0.1]), lam=np.array([1.0]))
-    with pytest.raises(ValueError):
-        RD.RadialProfile(n=1, r_grid=np.array([0.1]), lam=np.array([-1.0]))
-
-
-def test_radial_flow_step_op():
+def test_one_step_run_matches_homothety():
+    """One RK4 step of dt = h^2/2 through `run_radial_flow` with exact
+    Dirichlet ghosts lands on the homothety."""
     grid = RD.RadialGrid(0.7, 64)
-    prof = RD.RadialProfile(n=1, r_grid=grid.r, lam=RD.poincare_lambda(grid.r))
     dt = 0.5 * grid.h**2
-    RD.radial_flow_step(grid, prof, dt, 0.0,
-                        boundary=lambda r, t: RD.homothety_lambda(r, t))
-    exact = RD.homothety_lambda(grid.r, dt)
-    assert np.abs(prof.lam / exact - 1.0).max() < 1e-9
-    assert prof.regularity_residual(grid) < 1e-3
+    run = RD.run_radial_flow(RD.poincare_lambda, 0.7, dt, nodes=64, frame_dt=dt,
+                             boundary=lambda r, t: RD.homothety_lambda(r, t))
+    assert run.steps_taken == 1
+    fr = run.frames[-1]
+    assert fr.time == dt
+    exact = RD.homothety_lambda(run.grid.r, dt)
+    assert np.abs(fr.lam / exact - 1.0).max() < 1e-9
 
 
 def test_origin_regularity_even_mirror():
@@ -91,6 +87,59 @@ def test_fused_ddbar_matches_two_stencil_formula(order, nodes, outer):
 
     ref = 0.25 * (S(grid._w2) / grid.h**2 + S(grid._w1) / (grid.h * grid.r))
     np.testing.assert_allclose(grid.ddbar(u, ghosts), ref, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("order", [4, 6])
+@pytest.mark.parametrize("nodes", [64, 96, 128, 256, 512])
+@pytest.mark.parametrize("outer", ["given", "extrapolated"])
+def test_ddbar_of_constant_is_exactly_zero(order, nodes, outer):
+    """The shift by u[0] makes the folded operator exact on constants, so a
+    flat profile picks up no round-off that the closure could amplify."""
+    grid = RD.RadialGrid(0.9, nodes, order)
+    for c in (1.0, -3.7, np.log(0.123), 1e6):
+        ghosts = np.full(grid.ng, c) if outer == "given" else None
+        assert np.all(grid.ddbar(np.full(nodes, c), ghosts) == 0.0)
+
+
+def test_flat_normalized_run_is_uniform_and_exact():
+    """d_s lam = -lam on flat data with extrapolated ghosts: every frame is
+    bitwise uniform and matches e^-s to 1e-12 relative."""
+    run = RD.run_normalized_radial(lambda r: np.ones_like(r), 0.9, 1.0,
+                                   nodes=64, frame_ds=0.1)
+    assert len(run.frames) == 11
+    for fr in run.frames:
+        assert np.all(fr.lam == fr.lam[0])
+        assert abs(fr.lam[0] / np.exp(-fr.time) - 1.0) <= 1e-12
+
+
+def test_steps_taken_pinned():
+    """Pinned step counts of two small runs: the CFL step is recomputed every
+    16 steps and steps are cut to land on frame times."""
+    run = RD.run_radial_flow(RD.poincare_lambda, 0.7, 0.02, nodes=48, order=6,
+                             boundary=lambda r, t: RD.homothety_lambda(r, t))
+    assert run.steps_taken == 200
+    nrun = RD.run_normalized_radial(lambda r: 3.0 * RD.poincare_lambda(r), 0.8,
+                                    0.5, nodes=48,
+                                    boundary=lambda r, s: RD.ke_lambda(r))
+    assert nrun.steps_taken == 672
+
+
+def test_breakdown_frame_is_last_accepted_state():
+    fs = lambda r: 1.0 / (1.0 + r**2) ** 2
+    run = RD.run_radial_flow(fs, 0.8, 0.45, nodes=16, min_eig_floor=0.05,
+                             boundary=lambda r, t: (1 - 2 * t) * fs(r))
+    assert run.broken and "floor" in run.breakdown
+    last = run.frames[-1]
+    assert last.step == run.steps_taken
+    assert last.lam.min() > 0.05
+
+
+def test_potential_flow_refuses_nan():
+    lam0 = RD.poincare_lambda(RD.RadialGrid(0.7, 32).r)
+    lam0[7] = np.nan
+    with pytest.raises(FlowBreakdownError) as exc:
+        RD.run_radial_potential_flow(lam0, 0.7, 0.01, nodes=32)
+    assert exc.value.time == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e-10, "all-nan"])

@@ -8,7 +8,7 @@ import pytest
 from crflow import scenarios as SC
 from crflow.artifacts import (REPORT_SCHEMA, TABLE_SCHEMA, read_run_csv,
                               validate_schema)
-from crflow.errors import ConfigError, ManifestError
+from crflow.errors import ConfigError, FlowBreakdownError, ManifestError
 
 FAST_TORUS = {
     "scenario_name": "t",
@@ -214,3 +214,56 @@ def test_cli_verify_exit_codes(tmp_path):
     r2 = _cli("verify", str(tmp_path / "nothere.json"), "-o",
               str(tmp_path / "out2"))
     assert r2.returncode == 2
+
+
+def test_normalized_kinds_honour_min_eig_floor(tmp_path):
+    """flat-disk-normalized decays as e^-s; with floor 0.9 it must break
+    down (near s = 0.105) instead of passing."""
+    cfg = json.load(open(os.path.join(SC.bundled_scenario_dir(),
+                                      "flat-disk-normalized.json")))
+    cfg["flow"]["min_eig_floor"] = 0.9
+    p = tmp_path / "floor.json"
+    p.write_text(json.dumps(cfg))
+    r = _cli("run", str(p), "-o", str(tmp_path / "o"))
+    assert r.returncode == 3, r.stderr
+    report = json.load(open(tmp_path / "o" / cfg["scenario_name"] / "report.json"))
+    assert report["broken"] is True
+    assert "floor" in report["breakdown"]
+
+
+def _manifest(tmp_path, configs):
+    names = []
+    for cfg in configs:
+        names.append(cfg["scenario_name"] + ".json")
+        (tmp_path / names[-1]).write_text(json.dumps(cfg))
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"scenarios": names}))
+    return str(m)
+
+
+def test_verify_all_reports_a_raising_check_as_a_row(tmp_path):
+    """bumpy-torus with frame_dt == t_max leaves two frames, and its
+    scalar-evolution check raises; the suite goes on and exits 1."""
+    bumpy = json.load(open(os.path.join(SC.bundled_scenario_dir(),
+                                        "bumpy-torus.json")))
+    bumpy["flow"]["frame_dt"] = bumpy["flow"]["t_max"]
+    code, master = SC.verify_all(_manifest(tmp_path, [bumpy, FAST_TORUS]),
+                                 str(tmp_path / "out"))
+    assert code == 1
+    err = [r for r in master["rows"] if r["check"] == "(error)"]
+    assert len(err) == 1 and err[0]["scenario"] == "bumpy-torus.json"
+    assert "need at least three frames" in err[0]["detail"]
+    assert [r["pass"] for r in master["rows"] if r["scenario"] == "t"] == [True]
+    assert (tmp_path / "out" / "master_table.json").exists()
+
+
+def test_verify_all_breakdown_in_a_check_exits_three(tmp_path, monkeypatch):
+    def broken_check(cfg, result):
+        raise FlowBreakdownError(0.5, "radial", "re-run lost positivity")
+
+    monkeypatch.setitem(SC._CHECK_FNS, "flat-stationarity", broken_check)
+    code, master = SC.verify_all(_manifest(tmp_path, [FAST_TORUS]),
+                                 str(tmp_path / "out"))
+    assert code == 3
+    assert master["rows"][0]["check"] == "(error)"
+    assert master["rows"][0]["detail"].startswith("FlowBreakdownError")
