@@ -22,8 +22,7 @@ from .estimates import (BarrierConfig, EstimateReport, UniquenessDiag,
                         scalar_evolution_residual_radial,
                         scalar_lower_bound_check, trace_barrier_check,
                         uniqueness_F_check)
-from .flow import FlowState, cfl_bound, flow_step_metric, flow_step_potential, \
-    run_torus_flow
+from .flow import FlowState, cfl_bound, run_torus_flow
 from .metrics import (MetricProvider, ScalarField, conformal_metric, euclidean,
                       bergman_ball, list_metrics, mobius_pullback,
                       poincare_disk, resolve_metric, scaled, torsion_example,

@@ -7,6 +7,7 @@
 
 Output root: --output, else $CRFLOW_OUTPUT_ROOT, else ./crflow-out.
 Exit codes: 0 pass, 1 check failure, 2 config error, 3 flow breakdown.
+`run` reports any other exception as "error: <type>: <message>", exit 1.
 `verify` exits with the worst code of its scenarios; a scenario whose run or
 check raises is listed as an "(error)" row and counts 3 if a flow broke down
 (FlowBreakdownError), else 1, and the other scenarios still run.
@@ -46,6 +47,9 @@ def run_cmd(config, output):
     except FlowBreakdownError as e:
         click.echo(f"flow breakdown: {e}", err=True)
         sys.exit(3)
+    except Exception as e:
+        click.echo(f"error: {type(e).__name__}: {e}", err=True)
+        sys.exit(1)
     for c in report["checks"]:
         status = "pass" if c["satisfied"] else "FAIL"
         click.echo(f"[{status}] {c['name']}: slack={c['worst_slack']:.3e}")

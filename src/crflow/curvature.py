@@ -24,20 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetricError
-from .metrics import MetricProvider
+from .metrics import MetricProvider, inverse_up
 
 
 # ---------------------------------------------------------------------------
 # raw tensors
 # ---------------------------------------------------------------------------
-
-def inverse_up(G, point=None):
-    w = np.linalg.eigvalsh(G)
-    if w.min() <= 1e-12:
-        raise DegenerateMetricError(point, float(w.min()))
-    return np.linalg.inv(G).T
-
 
 def connection_from(G, D1):
     Gu = inverse_up(G)

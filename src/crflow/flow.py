@@ -1,4 +1,5 @@
-"""Flow integration on a periodic 2-D grid (n = 1 torus) and a masked disk.
+"""The one RK4 driver and positivity guard, and the flows on a periodic 2-D
+grid (n = 1 torus) and a masked disk.
 
 The evolving object is the scalar metric density lam(x, y) > 0 of
 g = lam |dz|^2 on a chart with z = x + iy.  The Chern-Ricci flow reads
@@ -10,33 +11,84 @@ and its potential form, with Ric0 = -ddbar log lam0,
     d_t psi = log((lam0 - t Ric0 + ddbar psi)/lam0),   psi(0) = 0,
     lam(t)  = lam0 - t Ric0 + ddbar psi.
 
-Space discretization is the 9-point second-order stencil; time stepping is
-explicit RK4 under the `cfl_bound` limiter.  Hermitian symmetry is exact in
-this representation (lam kept as a real array); positivity is checked after
-every accepted step and breakdown raises `FlowBreakdownError` with the
-offending location.
+Space discretization is the 9-point second-order stencil.  Every flow of
+the package, these and the radial ones, is stepped by `rk4`, explicit RK4
+under a `cfl_bound` step limit; the driver owns frames, the step size,
+breakdown and the step count.  `require_positive` is the one positivity
+guard: it refuses NaN, +-inf and values at or below a floor, and breakdown
+raises `FlowBreakdownError` with the offending location.  Hermitian
+symmetry is exact in this representation (lam kept as a real array).
 
 Full-grid runs are n = 1 only (the laboratory's higher-n scenarios are
 radial or pointwise); constructing a torus flow with n >= 2 data raises.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import FlowBreakdownError
 
-def rk4_step(t, y, dt, rhs):
-    """One RK4 step for a tuple-of-arrays state."""
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, tuple(a + 0.5 * dt * b for a, b in zip(y, k1)))
-    k3 = rhs(t + 0.5 * dt, tuple(a + 0.5 * dt * b for a, b in zip(y, k2)))
-    k4 = rhs(t + dt, tuple(a + dt * b for a, b in zip(y, k3)))
-    return tuple(a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+
+def require_positive(v, t, floor, where):
+    """Breakdown when the metric leaves the positive cone (or stalls at it):
+    collapse toward zero is surfaced, never smoothed or crawled past.
+
+    Raises on NaN, on +-inf and on any value <= floor: a NaN makes min() NaN,
+    so both comparisons below fail closed.  The offending node is a
+    non-finite one if there is any, else the minimum; it is reported as
+    `where(i)`, i its flat index in v."""
+    if not (v.min() > floor and v.max() < np.inf):
+        bad = int(np.argmin(np.where(np.isfinite(v), v, -np.inf)))
+        raise FlowBreakdownError(t, where(bad),
+                                 f"lam={v.flat[bad]:.3e} <= floor {floor:.0e}")
+
+
+def _node(i, shape):
+    """Grid index of flat index i, as a breakdown reports it."""
+    return tuple(int(j) for j in np.unravel_index(i, shape))
+
+
+def rk4(y, t_end, rhs, cfl, check, *, cfl_every=1, frame_dt=None, frame=None):
+    """Explicit RK4 from t = 0 to t_end on the state array y.
+
+    `rhs(t, y, out)` writes dy/dt into out (and may set boundary values of
+    y, as the masked disk does with its band).  `cfl(t, y)`, the step limit, is
+    recomputed every `cfl_every` steps.  `check(t, y)` raises
+    FlowBreakdownError on the initial and each accepted state; stages go
+    unchecked, as a negative stage turns into NaN, which fails the check.
+    `frame(step, t, y)` runs at t = 0, every `frame_dt` and at t_end, and
+    steps are cut to land on those times.  Returns (y, steps, t, error) at
+    the last accepted state; error is the breakdown that stopped the run.
+    """
+    k = np.empty((4,) + y.shape)
+    t, step, next_frame, dt_cfl = 0.0, 0, 0.0, None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        try:
+            check(t, y)
+            while True:
+                if frame is not None and (t >= next_frame - 1e-14
+                                          or t >= t_end - 1e-14):
+                    frame(step, t, y)
+                    next_frame += frame_dt
+                if t >= t_end - 1e-14:
+                    break
+                if dt_cfl is None or step % cfl_every == 0:
+                    dt_cfl = cfl(t, y)
+                dt = min(dt_cfl, t_end - t,
+                         next_frame - t if next_frame > t else t_end - t)
+                rhs(t, y, k[0])
+                rhs(t + dt / 2, y + dt / 2 * k[0], k[1])
+                rhs(t + dt / 2, y + dt / 2 * k[1], k[2])
+                rhs(t + dt, y + dt * k[2], k[3])
+                new = y + dt / 6 * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
+                check(t + dt, new)
+                y, t, step = new, t + dt, step + 1
+        except FlowBreakdownError as e:
+            return y, step, t, e
+    return y, step, t, None
 
 
 def laplacian_9pt(u, h):
@@ -77,47 +129,23 @@ class FlowState:
     psi: np.ndarray
     omega_t: np.ndarray            # current lam samples
     step_count: int = 0
-    diagnostics: deque = field(default_factory=lambda: deque(maxlen=32))
 
     def reconstruction_residual(self) -> float:
         rec = self.omega0 - self.t * self.ric0 + ddbar_periodic(self.psi, self.h)
         return float(np.max(np.abs(rec - self.omega_t)))
 
-    def record(self):
-        lam = self.omega_t
-        ric = -ddbar_periodic(np.log(lam), self.h)
-        scal = ric / lam
-        self.diagnostics.append({
-            "t": self.t,
-            "min_lam": float(lam.min()),
-            "max_lam": float(lam.max()),
-            "min_scalar": float(scal.min()),
-            "max_scalar": float(scal.max()),
-        })
-
-
-def torus_state(lam0: np.ndarray, box_length: float) -> FlowState:
-    lam0 = np.asarray(lam0, dtype=float)
-    if lam0.ndim != 2 or lam0.shape[0] != lam0.shape[1]:
-        raise ValueError("torus flow needs square n=1 grid data (N, N)")
-    h = box_length / lam0.shape[0]
-    ric0 = -ddbar_periodic(np.log(lam0), h)
-    return FlowState(t=0.0, h=h, omega0=lam0, ric0=ric0,
-                     psi=np.zeros_like(lam0), omega_t=lam0.copy())
-
 
 def cfl_bound(min_eig: float, ric_scale: float, grid_step: float,
-              safety: float = 0.2, stability_coeff: float = 1.0) -> float:
+              safety: float = 0.2) -> float:
     """Largest admissible explicit step.
 
     The configured bound safety * h^2 * min_eig / max(1, ric_scale) is
-    additionally capped by the parabolic stability limit
-    stability_coeff * h^2 * min_eig (the diffusivity of d_t lam = ddbar log lam
-    is 1/(4 lam); RK4's real-axis stability gives coefficient ~1.4 on these
-    stencils, 1.0 keeps margin).
+    additionally capped by the parabolic stability limit h^2 * min_eig (the
+    diffusivity of d_t lam = ddbar log lam is 1/(4 lam); RK4's real-axis
+    stability gives coefficient ~1.4 on these stencils, 1.0 keeps margin).
     """
     base = safety * grid_step**2 * min_eig / max(1.0, ric_scale)
-    return min(base, stability_coeff * grid_step**2 * min_eig)
+    return min(base, grid_step**2 * min_eig)
 
 
 def cfl_for_state(state: FlowState, safety: float = 0.2) -> float:
@@ -127,74 +155,61 @@ def cfl_for_state(state: FlowState, safety: float = 0.2) -> float:
     return cfl_bound(float(lam.min()), ric_scale, state.h, safety)
 
 
-def _check_positive(lam, t, threshold=1e-12):
-    m = float(lam.min())
-    if not np.isfinite(m) or m <= threshold:
-        idx = np.unravel_index(np.nanargmin(lam), lam.shape)
-        raise FlowBreakdownError(t, tuple(int(i) for i in idx),
-                                 f"min metric value {m:.3e}")
-
-
-def flow_step_metric(state: FlowState, dt: float) -> FlowState:
-    """Advance lam (and psi alongside) by one RK4 step of the metric flow."""
-    h, lam0 = state.h, state.omega0
-
-    def rhs(t, y):
-        lam, _psi = y
-        _check_positive(lam, t)
-        return (ddbar_periodic(np.log(lam), h), np.log(lam / lam0))
-
-    lam, psi = rk4_step(state.t, (state.omega_t, state.psi), dt, rhs)
-    state.t += dt
-    _check_positive(lam, state.t)
-    state.omega_t, state.psi = lam, psi
-    state.step_count += 1
-    return state
-
-
-def flow_step_potential(state: FlowState, dt: float) -> FlowState:
-    """Advance psi by one RK4 step of the parabolic Monge-Ampere equation."""
-    h, lam0, ric0 = state.h, state.omega0, state.ric0
-
-    def rhs(t, y):
-        (psi,) = y
-        rec = lam0 - t * ric0 + ddbar_periodic(psi, h)
-        _check_positive(rec, t)
-        return (np.log(rec / lam0),)
-
-    (psi,) = rk4_step(state.t, (state.psi,), dt, rhs)
-    state.t += dt
-    rec = lam0 - state.t * ric0 + ddbar_periodic(psi, h)
-    _check_positive(rec, state.t)
-    state.psi = psi
-    state.omega_t = rec
-    state.step_count += 1
-    return state
-
-
 def run_torus_flow(lam0, box_length, t_end, *, mode="metric", safety=0.2,
-                   frame_dt=None, record=True):
+                   frame_dt=None):
     """Integrate to t_end, returning (state, frames).
 
-    Frames are (t, lam, psi) triples captured at uniform `frame_dt` targets
-    (default t_end/20); steps are clipped so frames land exactly on target.
+    The "metric" mode advances (lam, psi) together, psi by
+    d_t psi = log(lam/lam0); the "potential" mode advances psi alone and
+    reconstructs lam.  Frames are (t, lam, psi) triples captured at uniform
+    `frame_dt` targets (default t_end/20); steps are clipped so frames land
+    exactly on target, and the CFL step is recomputed every step.  Raises
+    FlowBreakdownError when lam falls to 1e-12 or turns non-finite.
     """
-    state = torus_state(np.asarray(lam0, dtype=float), box_length)
-    step = flow_step_metric if mode == "metric" else flow_step_potential
-    frame_dt = frame_dt or t_end / 20.0
+    lam0 = np.asarray(lam0, dtype=float)
+    if lam0.ndim != 2 or lam0.shape[0] != lam0.shape[1]:
+        raise ValueError("torus flow needs square n=1 grid data (N, N)")
+    h = box_length / lam0.shape[0]
+    ric0 = -ddbar_periodic(np.log(lam0), h)
+    state = FlowState(t=0.0, h=h, omega0=lam0, ric0=ric0,
+                      psi=np.zeros_like(lam0), omega_t=lam0)
+    node = lambda i: _node(i, lam0.shape)
+
+    if mode == "metric":
+        y = np.stack([lam0, state.psi])
+
+        def rhs(t, v, out):
+            out[0] = ddbar_periodic(np.log(v[0]), h)
+            np.log(np.divide(v[0], lam0, out=out[1]), out=out[1])
+
+        def accept(t, v):
+            require_positive(v[0], t, 1e-12, node)
+            state.t, state.omega_t, state.psi = t, v[0], v[1]
+    else:
+        y = state.psi[None]
+
+        def reconstruct(psi, t):
+            return lam0 - t * ric0 + ddbar_periodic(psi, h)
+
+        def rhs(t, v, out):
+            np.log(np.divide(reconstruct(v[0], t), lam0, out=out[0]), out=out[0])
+
+        def accept(t, v):   # the reconstruction it keeps serves the CFL step
+            rec = reconstruct(v[0], t)
+            require_positive(rec, t, 1e-12, node)
+            state.t, state.omega_t, state.psi = t, rec, v[0]
+
+    # a frame copies lam and psi in one allocation: two apart leave the heap
+    # with holes that the stacked stage arrays cannot reuse (+3 MB peak RSS
+    # on a 128 x 128 metric-form run)
     frames = []
-    next_frame = 0.0
-    while True:
-        if state.t >= next_frame - 1e-15 or state.t >= t_end - 1e-15:
-            if record:
-                state.record()
-            frames.append((state.t, state.omega_t.copy(), state.psi.copy()))
-            next_frame += frame_dt
-        if state.t >= t_end - 1e-15:
-            break
-        dt = min(cfl_for_state(state, safety), t_end - state.t,
-                 next_frame - state.t if next_frame > state.t else t_end - state.t)
-        step(state, dt)
+    _, state.step_count, _, err = rk4(
+        y, t_end, rhs, lambda t, v: cfl_for_state(state, safety), accept,
+        frame_dt=frame_dt or t_end / 20.0,
+        frame=lambda step, t, v: frames.append(
+            (t, *np.stack([state.omega_t, state.psi]))))
+    if err is not None:
+        raise err
     return state, frames
 
 
@@ -236,38 +251,27 @@ def run_disk2d_flow(grid: DiskGrid, lam0_fn: Callable, boundary_fn: Callable,
     """Flow on the masked disk; `boundary_fn(R_array, t)` supplies band values.
 
     `lam0_fn(R_array)` seeds radially symmetric initial data (the use case is
-    cross-validation against the 1-D radial reduction).
+    cross-validation against the 1-D radial reduction).  Each stage writes
+    the band at its own time; returns (lam, t).  Raises FlowBreakdownError
+    when an interior value falls to 0 or turns non-finite.
     """
-    lam = lam0_fn(grid.R)
-    lam[grid.band] = boundary_fn(grid.R[grid.band], 0.0)
-    t = 0.0
+    band_R = grid.R[grid.band]
+    outside = ~grid.interior
+    interior_nodes = np.flatnonzero(grid.interior)
+    node = lambda i: _node(interior_nodes[i], grid.R.shape)
 
-    def rhs_field(tt, lam_now):
-        u = np.log(lam_now)
-        dd = 0.25 * grid.laplacian(u)
-        out = dd - lam_now if normalized else dd
-        out[~grid.interior] = 0.0
-        return out
+    def rhs(t, v, out):
+        v[grid.band] = boundary_fn(band_R, t)
+        dd = 0.25 * grid.laplacian(np.log(v))
+        out[...] = dd - v if normalized else dd
+        out[outside] = 0.0
 
-    while t < t_end - 1e-15:
-        lam_in = lam[grid.interior]
-        dt = min(cfl_bound(float(lam_in.min()), 2.0, grid.h, safety),
-                 t_end - t)
-        k1 = rhs_field(t, lam)
-        y2 = lam + 0.5 * dt * k1
-        y2[grid.band] = boundary_fn(grid.R[grid.band], t + 0.5 * dt)
-        k2 = rhs_field(t + 0.5 * dt, y2)
-        y3 = lam + 0.5 * dt * k2
-        y3[grid.band] = boundary_fn(grid.R[grid.band], t + 0.5 * dt)
-        k3 = rhs_field(t + 0.5 * dt, y3)
-        y4 = lam + dt * k3
-        y4[grid.band] = boundary_fn(grid.R[grid.band], t + dt)
-        k4 = rhs_field(t + dt, y4)
-        lam = lam + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-        lam[grid.band] = boundary_fn(grid.R[grid.band], t)
-        if float(lam[grid.interior].min()) <= 0:
-            idx = np.unravel_index(np.argmin(np.where(grid.interior, lam, np.inf)),
-                                   lam.shape)
-            raise FlowBreakdownError(t, tuple(int(i) for i in idx))
+    lam, _, t, err = rk4(
+        lam0_fn(grid.R), t_end, rhs,
+        lambda t, v: cfl_bound(float(v[grid.interior].min()), 2.0, grid.h,
+                               safety),
+        lambda t, v: require_positive(v[grid.interior], t, 0.0, node))
+    if err is not None:
+        raise err
+    lam[grid.band] = boundary_fn(band_R, t)
     return lam, t

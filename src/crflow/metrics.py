@@ -31,6 +31,16 @@ from .errors import DegenerateMetricError, DerivativeOrderError, DomainError
 DEGENERACY_THRESHOLD = 1e-12
 
 
+def inverse_up(G, point=None):
+    """Gu[i, j] = g^{i jbar} of the matrix G; DegenerateMetricError (naming
+    `point`) when its smallest eigenvalue is at or below
+    DEGENERACY_THRESHOLD."""
+    w = np.linalg.eigvalsh(G)
+    if w.min() <= DEGENERACY_THRESHOLD:
+        raise DegenerateMetricError(point, float(w.min()))
+    return np.linalg.inv(G).T
+
+
 # ---------------------------------------------------------------------------
 # scalar fields (conformal factors, exhaustion functions)
 # ---------------------------------------------------------------------------
@@ -91,7 +101,6 @@ class AnalyticDerivatives:
         self.d1_fn = d1_fn
         self.d2_fn = d2_fn
         if max_order is None:
-            max_order = 1 + (d1_fn is not None) + (d2_fn is not None)
             if d1_fn is None:
                 max_order = 0
             elif d2_fn is None:
@@ -179,11 +188,7 @@ class MetricProvider:
 
     def inverse_up(self, z) -> np.ndarray:
         """Gu[i, j] = g^{i jbar}, guarding against degeneracy."""
-        g = self.matrix(z)
-        w = np.linalg.eigvalsh(g)
-        if w.min() <= DEGENERACY_THRESHOLD:
-            raise DegenerateMetricError(z, float(w.min()))
-        return np.linalg.inv(g).T
+        return inverse_up(self.matrix(z), z)
 
     def min_eigenvalue(self, z) -> float:
         return float(np.linalg.eigvalsh(self.matrix(z)).min())

@@ -17,7 +17,8 @@ is one sparse operator per outer closure, with the origin mirror folded in,
 applied to u - u[0], so it is exactly 0.0 on constants: the extrapolated
 closure grows round-off about 1e6-fold (2-norm of exp((e^3 - 1) A), 64
 nodes) over a flat normalized run to s = 3.  The radial flows step through
-one RK4 driver.
+`flow.rk4`, the package's one RK4 driver, on a stacked (lam, psi/phi) state,
+and guard positivity with `flow.require_positive`.
 
 Exact references on the disk (checked symbolically):
     homothety      lam(r, t) = (1 + 2t) (1 - r^2)^-2      (Ric = -2 g at t=0)
@@ -32,8 +33,7 @@ from typing import Callable, List, Optional
 import numpy as np
 from scipy import sparse
 
-from .errors import FlowBreakdownError
-from .flow import cfl_bound
+from .flow import cfl_bound, require_positive, rk4
 
 # scipy's CSR kernel, called without the dispatch of `@`, which costs about
 # three times the product itself at 64-512 nodes
@@ -164,23 +164,14 @@ class RadialGrid:
     def outer_ghost_radii(self):
         return self._rg_outer
 
+    def location(self, i):
+        """Where node i is, as a breakdown reports it."""
+        return ("r", float(self.r[i]))
+
 
 # ---------------------------------------------------------------------------
-# right-hand sides and the stepping driver
+# right-hand sides
 # ---------------------------------------------------------------------------
-
-def _require_positive(grid, v, t, floor):
-    """Breakdown when the metric leaves the positive cone (or stalls at it):
-    collapse toward zero is surfaced, never smoothed or crawled past.
-
-    Raises on NaN, on +-inf and on any value <= floor: a NaN makes min() NaN,
-    so both comparisons below fail closed.  The offending node reported is a
-    non-finite one if there is any, else the minimum."""
-    if not (v.min() > floor and v.max() < np.inf):
-        bad = int(np.argmin(np.where(np.isfinite(v), v, -np.inf)))
-        raise FlowBreakdownError(t, ("r", float(grid.r[bad])),
-                                 f"lam={v[bad]:.3e} <= floor {floor:.0e}")
-
 
 def _ghosts_for(field_fn, grid, t):
     if field_fn is None:
@@ -219,45 +210,6 @@ def scalar_curvature(grid: RadialGrid, lam, t=0.0, boundary_log=None):
     """Chern scalar R = -ddbar(log lam)/lam on the nodes."""
     u = np.log(lam)
     return -grid.ddbar(u, _ghosts_for(boundary_log, grid, t)) / lam
-
-
-def _rk4(y, t_end, rhs, cfl, check, *, cfl_every=1, frame_dt=None, frame=None):
-    """Explicit RK4 from t = 0 to t_end on the stacked state y (c x m).
-
-    `rhs(t, y, out)` writes dy/dt into out.  `cfl(t, y)`, the step limit, is
-    recomputed every `cfl_every` steps.  `check(t, y)` raises
-    FlowBreakdownError on the initial and each accepted state; stages go
-    unchecked, as a negative stage turns into NaN, which fails the check.
-    `frame(step, t, y)` runs at t = 0, every `frame_dt` and at t_end, and
-    steps are cut to land on those times.  Returns (y, steps, t, error) at
-    the last accepted state; error is the breakdown that stopped the run.
-    """
-    k = np.empty((4,) + y.shape)
-    t, step, next_frame, dt_cfl = 0.0, 0, 0.0, None
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        try:
-            check(t, y)
-            while True:
-                if frame is not None and (t >= next_frame - 1e-14
-                                          or t >= t_end - 1e-14):
-                    frame(step, t, y)
-                    next_frame += frame_dt
-                if t >= t_end - 1e-14:
-                    break
-                if dt_cfl is None or step % cfl_every == 0:
-                    dt_cfl = cfl(t, y)
-                dt = min(dt_cfl, t_end - t,
-                         next_frame - t if next_frame > t else t_end - t)
-                rhs(t, y, k[0])
-                rhs(t + dt / 2, y + dt / 2 * k[0], k[1])
-                rhs(t + dt / 2, y + dt / 2 * k[1], k[2])
-                rhs(t + dt, y + dt * k[2], k[3])
-                new = y + dt / 6 * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
-                check(t + dt, new)
-                y, t, step = new, t + dt, step + 1
-        except FlowBreakdownError as e:
-            return y, step, t, e
-    return y, step, t, None
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +311,9 @@ def run_radial_flow(lam0, r_max, t_end, *, nodes=256, boundary=None,
         run.frames.append(Frame(step, tt, v[0].copy(),
                                 psi=v[1].copy() if with_potential else None))
 
-    y, run.steps_taken, t, err = _rk4(
+    y, run.steps_taken, t, err = rk4(
         y, t_end, rhs, cfl,
-        lambda tt, v: _require_positive(grid, v[0], tt, min_eig_floor),
+        lambda tt, v: require_positive(v[0], tt, min_eig_floor, grid.location),
         cfl_every=cfl_every, frame_dt=frame_dt or t_end / 50.0, frame=frame)
     if err is not None:
         run.broken, run.breakdown = True, str(err)
@@ -396,10 +348,10 @@ def run_normalized_radial(lam0, r_max, s_end, *, nodes=128, boundary=None,
         run.frames.append(Frame(step, ss, lam.copy(), phi=phi.copy(),
                                 phi_prime=np.log(lam / lam_init) - phi))
 
-    _, run.steps_taken, _, err = _rk4(
+    _, run.steps_taken, _, err = rk4(
         y, s_end, rhs,
         lambda ss, v: cfl_bound(float(v[0].min()), 1.0, grid.h, safety),
-        lambda ss, v: _require_positive(grid, v[0], ss, min_eig_floor),
+        lambda ss, v: require_positive(v[0], ss, min_eig_floor, grid.location),
         cfl_every=cfl_every, frame_dt=frame_ds or s_end / 50.0, frame=frame)
     if err is not None:
         run.broken, run.breakdown = True, str(err)
@@ -431,9 +383,10 @@ def run_radial_potential_flow(lam0, r_max, t_end, *, nodes=256, boundary_psi=Non
     def cfl(tt, v):
         return cfl_bound(float(reconstruct(v[0], tt).min()), 2.0, grid.h, safety)
 
-    y, _, t, err = _rk4(
+    y, _, t, err = rk4(
         np.zeros((1, grid.m)), t_end, rhs, cfl,
-        lambda tt, v: _require_positive(grid, reconstruct(v[0], tt), tt, 0.0))
+        lambda tt, v: require_positive(reconstruct(v[0], tt), tt, 0.0,
+                                       grid.location))
     if err is not None:
         raise err
     return grid, y[0], reconstruct(y[0], t), t

@@ -37,7 +37,6 @@ DEFAULTS = {
     "metrics": {"g0": "poincare-disk", "h": "poincare-disk"},
     "flow": {
         "safety": 1.0,
-        "stability_coeff": 1.4,
         "order": 4,
         "frame_dt": None,
         "boundary": "extrapolate",
@@ -187,21 +186,27 @@ class ScenarioResult:
         return (not self.broken) and all(c.satisfied for c in self.checks)
 
 
+def _torus_datum(cfg):
+    """lam0 on the torus config's N x N box grid: the bumpy
+    exp(a cos(2 pi x/L) cos(2 pi y/L)), else flat."""
+    fl = cfg["flow"]
+    res = cfg["chart"]["grid_resolution"]
+    L = cfg["chart"]["box_length"]
+    if fl["initial"] != "bumpy":
+        return np.ones((res, res))
+    x = np.arange(res) * (L / res)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    return np.exp(fl["perturbation_amplitude"] * np.cos(2 * np.pi * X / L)
+                  * np.cos(2 * np.pi * Y / L))
+
+
 def _execute_flow(cfg, result: ScenarioResult):
     fl = cfg["flow"]
     res = cfg["chart"]["grid_resolution"]
     kind = cfg["kind"]
     if kind == "torus":
         L = cfg["chart"]["box_length"]
-        x = np.arange(res) * (L / res)
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        if fl["initial"] == "bumpy":
-            amp = fl["perturbation_amplitude"]
-            lam0 = np.exp(amp * np.cos(2 * np.pi * X / L)
-                          * np.cos(2 * np.pi * Y / L))
-        else:
-            lam0 = np.ones((res, res))
-        state, frames = run_torus_flow(lam0, L, fl["t_max"],
+        state, frames = run_torus_flow(_torus_datum(cfg), L, fl["t_max"],
                                        safety=fl["safety"],
                                        frame_dt=fl["frame_dt"])
         result.torus_state, result.torus_frames = state, frames
@@ -324,19 +329,10 @@ def _chk_scalar_evolution(cfg, result):
 def _chk_equivalence(cfg, result):
     """Metric-form vs potential-form torus runs from identical data."""
     tol = cfg["tolerances"]["equivalence"]
-    fl = cfg["flow"]
-    res = cfg["chart"]["grid_resolution"]
-    L = cfg["chart"]["box_length"]
     lam_m = result.torus_frames[-1][1]
-    x = np.arange(res) * (L / res)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    if fl["initial"] == "bumpy":
-        amp = fl["perturbation_amplitude"]
-        lam0 = np.exp(amp * np.cos(2 * np.pi * X / L) * np.cos(2 * np.pi * Y / L))
-    else:
-        lam0 = np.ones((res, res))
-    state_p, _ = run_torus_flow(lam0, L, result.torus_frames[-1][0],
-                                mode="potential", safety=fl["safety"])
+    state_p, _ = run_torus_flow(_torus_datum(cfg), cfg["chart"]["box_length"],
+                                result.torus_frames[-1][0], mode="potential",
+                                safety=cfg["flow"]["safety"])
     diff = float(np.max(np.abs(state_p.omega_t - lam_m)))
     return estimates._report("potential-equivalence", tol - diff, ("final",),
                              0.0, lam_m.size, sup_difference=diff,

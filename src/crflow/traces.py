@@ -38,10 +38,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fd
-from .curvature import connection_from, curvature_from, inverse_up, ricci_from, \
-    torsion_from
+from .curvature import connection_from, curvature_from, ricci_from, torsion_from
 from .errors import PreconditionError
-from .metrics import MetricProvider
+from .metrics import MetricProvider, inverse_up
 
 
 @dataclass

@@ -1,11 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 
 from crflow import radial as RD
+from crflow import scenarios as SC
 from crflow.errors import FlowBreakdownError
-from crflow.flow import (DiskGrid, cfl_bound, ddbar_periodic, flow_step_metric,
-                         flow_step_potential, run_disk2d_flow, run_torus_flow,
-                         torus_state)
+from crflow.flow import (DiskGrid, cfl_bound, ddbar_periodic, run_disk2d_flow,
+                         run_torus_flow)
 
 
 def bumpy_lam0(N, L=1.0, amp=0.05):
@@ -29,8 +31,6 @@ def test_torus_reconstruction_identity():
 def test_torus_positivity_and_diagnostics():
     state, frames = run_torus_flow(bumpy_lam0(32), 1.0, 0.003)
     assert all(lam.min() > 0 for _, lam, _ in frames)
-    assert len(state.diagnostics) > 0
-    assert {"t", "min_lam", "min_scalar"} <= set(state.diagnostics[-1])
 
 
 def test_metric_vs_potential_equivalence():
@@ -61,18 +61,73 @@ def test_cfl_bound_flat_and_scaling():
 
 
 def test_flow_step_rejects_positivity_loss():
-    state = torus_state(np.ones((16, 16)), 1.0)
-    state.omega_t = np.full((16, 16), 1e-14)
-    with pytest.raises(FlowBreakdownError):
-        flow_step_metric(state, 1e-5)
+    """A datum at the 1e-12 floor breaks down at t = 0 in both forms, at its
+    node."""
+    lam0 = np.ones((16, 16))
+    lam0[3, 5] = 1e-14
+    for mode in ("metric", "potential"):
+        with pytest.raises(FlowBreakdownError) as exc:
+            run_torus_flow(lam0, 1.0, 1e-3, mode=mode)
+        assert exc.value.time == 0.0
+        assert exc.value.where == (3, 5)
 
 
 def test_potential_step_rejects_nonpositive_reconstruction():
-    state = torus_state(bumpy_lam0(16, amp=0.02), 1.0)
-    state.psi = -np.ones((16, 16)) * 50.0  # forces lam0 + ddbar psi through 0
-    state.psi[0, 0] = 0.0
-    with pytest.raises(FlowBreakdownError):
-        flow_step_potential(state, 1e-6)
+    """The potential form guards its reconstruction lam0 - t Ric0 + ddbar psi:
+    a zero, negative, NaN or infinite node (whose Ric0 is non-finite) raises
+    at t = 0, at or next to that node."""
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        lam0 = bumpy_lam0(16, amp=0.02)
+        lam0[3, 5] = bad
+        with pytest.raises(FlowBreakdownError) as exc, \
+                np.errstate(divide="ignore", invalid="ignore"):
+            run_torus_flow(lam0, 1.0, 1e-3, mode="potential")
+        i, j = exc.value.where
+        assert exc.value.time == 0.0
+        assert abs(i - 3) <= 1 and abs(j - 5) <= 1
+
+
+@pytest.mark.parametrize("name, steps", [("bumpy-torus", 180),
+                                         ("flat-torus-stationary", 110)])
+def test_torus_steps_pinned(name, steps):
+    """Step counts of the bundled torus scenarios, in both forms."""
+    cfg = SC.load_config(os.path.join(SC.bundled_scenario_dir(), name + ".json"))
+    fl = cfg["flow"]
+    for mode in ("metric", "potential"):
+        state, frames = run_torus_flow(
+            SC._torus_datum(cfg), cfg["chart"]["box_length"], fl["t_max"],
+            mode=mode, safety=fl["safety"], frame_dt=fl["frame_dt"])
+        assert state.step_count == steps
+        assert state.t == frames[-1][0] == pytest.approx(fl["t_max"], abs=1e-15)
+
+
+def test_disk2d_steps_pinned():
+    """Four band evaluations per step (one per stage) and one reset after the
+    last: 47 steps on the 49-node grid to t = 0.01."""
+    times = []
+
+    def boundary(R, t):
+        times.append(t)
+        return RD.homothety_lambda(R, t)
+
+    _, t = run_disk2d_flow(DiskGrid(0.7, 49), RD.poincare_lambda, boundary, 0.01)
+    assert len(times) == 4 * 47 + 1
+    assert times[0] == 0.0 and times[-1] == t == 0.01
+
+
+def test_disk2d_flow_refuses_nan():
+    """A NaN interior node is a breakdown at t = 0, not a silent NaN run."""
+    grid = DiskGrid(0.7, 33)
+
+    def lam0(R):
+        lam = RD.poincare_lambda(R)
+        lam[16, 16] = np.nan
+        return lam
+
+    with pytest.raises(FlowBreakdownError) as exc:
+        run_disk2d_flow(grid, lam0, lambda R, t: RD.homothety_lambda(R, t), 0.01)
+    assert exc.value.time == 0.0
+    assert exc.value.where == (16, 16)
 
 
 def test_positively_curved_cap_shrinks_and_breaks_down():

@@ -3,6 +3,7 @@ import pytest
 
 from crflow import radial as RD
 from crflow.errors import FlowBreakdownError
+from crflow.flow import require_positive
 
 
 def test_homothety_tracking_coarse():
@@ -151,7 +152,7 @@ def test_require_positive_raises_on_nonfinite_and_floor(bad):
     else:
         v[5] = bad
     with pytest.raises(FlowBreakdownError) as exc:
-        RD._require_positive(grid, v, 0.25, 1e-10)
+        require_positive(v, 0.25, 1e-10, grid.location)
     assert exc.value.time == 0.25
     assert exc.value.where == ("r", float(grid.r[0 if bad == "all-nan" else 5]))
 
@@ -160,7 +161,7 @@ def test_require_positive_accepts_positive_finite_profile():
     grid = RD.RadialGrid(0.8, 32)
     v = RD.poincare_lambda(grid.r)
     v[5] = 1.5e-10
-    RD._require_positive(grid, v, 0.0, 1e-10)
+    require_positive(v, 0.0, 1e-10, grid.location)
 
 
 @pytest.mark.parametrize("bnd", ["trajectory", "ke"])

@@ -4,8 +4,10 @@ import subprocess
 import sys
 
 import pytest
+from click.testing import CliRunner
 
 from crflow import scenarios as SC
+from crflow.cli import main
 from crflow.artifacts import (REPORT_SCHEMA, TABLE_SCHEMA, read_run_csv,
                               validate_schema)
 from crflow.errors import ConfigError, FlowBreakdownError, ManifestError
@@ -255,6 +257,21 @@ def test_verify_all_reports_a_raising_check_as_a_row(tmp_path):
     assert "need at least three frames" in err[0]["detail"]
     assert [r["pass"] for r in master["rows"] if r["scenario"] == "t"] == [True]
     assert (tmp_path / "out" / "master_table.json").exists()
+
+
+def test_cli_run_reports_a_raising_check_without_traceback(tmp_path):
+    """`crflow run` prints a check's exception as one error line and exits
+    1, as `crflow verify` lists it as an "(error)" row."""
+    bumpy = json.load(open(os.path.join(SC.bundled_scenario_dir(),
+                                        "bumpy-torus.json")))
+    bumpy["flow"]["frame_dt"] = bumpy["flow"]["t_max"]
+    p = tmp_path / "bumpy.json"
+    p.write_text(json.dumps(bumpy))
+    r = CliRunner().invoke(main, ["run", str(p), "-o", str(tmp_path / "o")])
+    assert r.exit_code == 1
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert "error: ValueError: need at least three frames" in r.output
+    assert "Traceback" not in r.output
 
 
 def test_verify_all_breakdown_in_a_check_exits_three(tmp_path, monkeypatch):
