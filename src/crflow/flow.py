@@ -1,4 +1,4 @@
-"""The one RK4 driver and positivity guard, and the flows on a periodic 2-D
+"""The time steppers and positivity guard, and the flows on a periodic 2-D
 grid (n = 1 torus) and a masked disk.
 
 The evolving object is the scalar metric density lam(x, y) > 0 of
@@ -11,13 +11,16 @@ and its potential form, with Ric0 = -ddbar log lam0,
     d_t psi = log((lam0 - t Ric0 + ddbar psi)/lam0),   psi(0) = 0,
     lam(t)  = lam0 - t Ric0 + ddbar psi.
 
-Space discretization is the 9-point second-order stencil.  Every flow of
-the package, these and the radial ones, is stepped by `rk4`, explicit RK4
-under a `cfl_bound` step limit; the driver owns frames, the step size,
-breakdown and the step count.  `require_positive` is the one positivity
-guard: it refuses NaN, +-inf and values at or below a floor, and breakdown
-raises `FlowBreakdownError` with the offending location.  Hermitian
-symmetry is exact in this representation (lam kept as a real array).
+Space discretization is the 9-point second-order stencil.  There are two
+steppers, on one loop (`_march`) that owns frames, breakdown and the step
+count: `rk4`, explicit RK4 under a `cfl_bound` step limit, steps these flows
+and the radial ones; `sdirk4`, an L-stable implicit SDIRK4 with its own
+error control, steps the radial normalized flow when its outer ghosts are
+given, the one flow here that stays stiff at its fixed point.
+`require_positive` is the one positivity guard: it refuses NaN, +-inf and
+values at or below a floor, and breakdown raises `FlowBreakdownError` with
+the offending location.  Hermitian symmetry is exact in this representation
+(lam kept as a real array).
 
 Full-grid runs are n = 1 only (the laboratory's higher-n scenarios are
 radial or pointwise); constructing a torus flow with n >= 2 data raises.
@@ -51,20 +54,18 @@ def _node(i, shape):
     return tuple(int(j) for j in np.unravel_index(i, shape))
 
 
-def rk4(y, t_end, rhs, cfl, check, *, cfl_every=1, frame_dt=None, frame=None):
-    """Explicit RK4 from t = 0 to t_end on the state array y.
+def _march(y, t_end, advance, check, frame_dt, frame):
+    """The loop both steppers share: frames, the step count and breakdown.
 
-    `rhs(t, y, out)` writes dy/dt into out (and may set boundary values of
-    y, as the masked disk does with its band).  `cfl(t, y)`, the step limit, is
-    recomputed every `cfl_every` steps.  `check(t, y)` raises
-    FlowBreakdownError on the initial and each accepted state; stages go
-    unchecked, as a negative stage turns into NaN, which fails the check.
-    `frame(step, t, y)` runs at t = 0, every `frame_dt` and at t_end, and
-    steps are cut to land on those times.  Returns (y, steps, t, error) at
-    the last accepted state; error is the breakdown that stopped the run.
+    `advance(t, y, step, limit)` returns a candidate (new, dt) with
+    dt <= limit, the distance to the next frame or t_end, so every frame lands
+    exactly on its time.  `check(t, y)` raises FlowBreakdownError on the
+    initial state and on each candidate, which is accepted only if it passes.
+    `frame(step, t, y)` runs at t = 0, every `frame_dt` and at t_end.
+    Returns (y, steps, t, error) at the last accepted state; error is the
+    breakdown that stopped the run.
     """
-    k = np.empty((4,) + y.shape)
-    t, step, next_frame, dt_cfl = 0.0, 0, 0.0, None
+    t, step, next_frame = 0.0, 0, 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
             check(t, y)
@@ -75,20 +76,130 @@ def rk4(y, t_end, rhs, cfl, check, *, cfl_every=1, frame_dt=None, frame=None):
                     next_frame += frame_dt
                 if t >= t_end - 1e-14:
                     break
-                if dt_cfl is None or step % cfl_every == 0:
-                    dt_cfl = cfl(t, y)
-                dt = min(dt_cfl, t_end - t,
-                         next_frame - t if next_frame > t else t_end - t)
-                rhs(t, y, k[0])
-                rhs(t + dt / 2, y + dt / 2 * k[0], k[1])
-                rhs(t + dt / 2, y + dt / 2 * k[1], k[2])
-                rhs(t + dt, y + dt * k[2], k[3])
-                new = y + dt / 6 * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
+                new, dt = advance(t, y, step, min(
+                    t_end - t, next_frame - t if next_frame > t else t_end - t))
                 check(t + dt, new)
                 y, t, step = new, t + dt, step + 1
         except FlowBreakdownError as e:
             return y, step, t, e
     return y, step, t, None
+
+
+def rk4(y, t_end, rhs, cfl, check, *, cfl_every=1, frame_dt=None, frame=None):
+    """Explicit RK4 from t = 0 to t_end on the state array y.
+
+    `rhs(t, y, out)` writes dy/dt into out (and may set boundary values of
+    y, as the masked disk does with its band).  `cfl(t, y)`, the step limit, is
+    recomputed every `cfl_every` steps.  `check(t, y)` raises
+    FlowBreakdownError on the initial and each accepted state; stages go
+    unchecked, as a negative stage turns into NaN, which fails the check.
+    Frames, the return value and breakdown are `_march`'s.
+    """
+    k = np.empty((4,) + y.shape)
+    dt_cfl = None
+
+    def advance(t, y, step, limit):
+        nonlocal dt_cfl
+        if dt_cfl is None or step % cfl_every == 0:
+            dt_cfl = cfl(t, y)
+        dt = min(dt_cfl, limit)
+        rhs(t, y, k[0])
+        rhs(t + dt / 2, y + dt / 2 * k[0], k[1])
+        rhs(t + dt / 2, y + dt / 2 * k[1], k[2])
+        rhs(t + dt, y + dt * k[2], k[3])
+        return y + dt / 6 * (k[0] + 2 * k[1] + 2 * k[2] + k[3]), dt
+
+    return _march(y, t_end, advance, check, frame_dt, frame)
+
+
+# sdirk4's local error tolerance, relative to 1 + |y| per component
+rtol = 1e-10
+
+# Hairer & Wanner, Solving ODEs II, Table 6.5: the L-stable, stiffly accurate
+# SDIRK of order 4 (gamma = 1/4), and b - bhat of its order-3 embedding
+_GAMMA = 0.25
+_SDIRK_A = ((), (1 / 2,), (17 / 50, -1 / 25),
+            (371 / 1360, -137 / 2720, 15 / 544),
+            (25 / 24, -49 / 48, 125 / 16, -85 / 12))
+_SDIRK_C = (1 / 4, 3 / 4, 11 / 20, 1 / 2, 1.0)
+_SDIRK_E = (-3 / 16, -27 / 32, 25 / 32, 0.0, 1 / 4)
+
+
+def sdirk4(y, t_end, rhs, factor, check, *, frame_dt=None, frame=None):
+    """L-stable implicit SDIRK4 from t = 0 to t_end on the state array y.
+
+    `rhs(t, y, out)` as for `rk4`; a state outside its domain (lam <= 0)
+    must come out non-finite, as the log in the flows' right-hand sides
+    makes it.  `factor(t, y, hg)` factors I - hg J at the step's start
+    state, J the Jacobian of rhs, and returns `solve(r)`, which gives
+    (I - hg J)^-1 r.  The five stages of a step share that factorization and
+    are solved by simplified Newton.  The step size is controlled on the
+    embedded order-3 error, filtered through the same solve, at `rtol`.  A
+    step whose Newton iteration turns non-finite or stalls is cut by 4 and
+    retried, so such an iterate is never accepted; a step that falls below
+    1e-14 (1 + t) is a breakdown.  Frames, `check`, the return value and
+    breakdown are `_march`'s, as for `rk4`.
+    """
+    hk = np.empty((5,) + y.shape)       # h times each stage's derivative
+    f = np.empty_like(y)
+    h = None
+
+    def size(v, sc):
+        return float(np.max(np.abs(v) / sc))
+
+    def attempt(t, y, dt, sc):
+        """(new, error size) of one step, or None if Newton fails."""
+        solve = factor(t, y, _GAMMA * dt)
+        for i, (a, c) in enumerate(zip(_SDIRK_A, _SDIRK_C)):
+            z = y + sum(aj * hk[j] for j, aj in enumerate(a))
+            stage = z + _GAMMA * hk[i - 1] if i else y.copy()
+            prev = None
+            for _ in range(7):
+                rhs(t + c * dt, stage, f)
+                d = solve(z + _GAMMA * dt * f - stage)
+                stage += d
+                dn = size(d, sc)
+                if not dn < np.inf:
+                    return None
+                if prev is not None:
+                    rate = dn / prev
+                    if rate >= 1.0:
+                        return None
+                    if rate / (1.0 - rate) * dn <= 1e-2:
+                        break
+                elif dn <= 1e-4:    # negligible at once, as on a fixed point
+                    break
+                prev = dn
+            else:
+                return None
+            hk[i] = (stage - z) / _GAMMA
+        err = solve(sum(e * hk[i] for i, e in enumerate(_SDIRK_E) if e))
+        return stage, size(err, sc)
+
+    def advance(t, y, step, limit):
+        nonlocal h
+        sc = rtol * (1.0 + np.abs(y))
+        if h is None:
+            rhs(t, y, f)
+            fn = size(f, sc)
+            h = limit if fn == 0.0 else min(limit, 1e-2 * size(y, sc) / fn)
+        while True:
+            dt = min(h, limit)
+            if dt < 1e-14 * (1.0 + t):
+                raise FlowBreakdownError(t, ("dt", dt), "step size underflow")
+            out = attempt(t, y, dt, sc)
+            if out is None:
+                h = dt / 4
+                continue
+            new, err = out
+            if err <= 1.0:
+                grow = min(5.0, 0.9 * err ** -0.25) if err > 0.0 else 5.0
+                # a step cut short to land on a frame keeps the larger size
+                h = max(h, dt * grow) if dt < h else dt * grow
+                return new, dt
+            h = dt * max(0.2, 0.9 * err ** -0.25) if err < np.inf else dt / 4
+
+    return _march(y, t_end, advance, check, frame_dt, frame)
 
 
 def laplacian_9pt(u, h):
@@ -170,10 +281,11 @@ def run_torus_flow(lam0, box_length, t_end, *, mode="metric", safety=0.2,
     if lam0.ndim != 2 or lam0.shape[0] != lam0.shape[1]:
         raise ValueError("torus flow needs square n=1 grid data (N, N)")
     h = box_length / lam0.shape[0]
+    node = lambda i: _node(i, lam0.shape)
+    require_positive(lam0, 0.0, 1e-12, node)    # before Ric0 takes its log
     ric0 = -ddbar_periodic(np.log(lam0), h)
     state = FlowState(t=0.0, h=h, omega0=lam0, ric0=ric0,
                       psi=np.zeros_like(lam0), omega_t=lam0)
-    node = lambda i: _node(i, lam0.shape)
 
     if mode == "metric":
         y = np.stack([lam0, state.psi])

@@ -16,14 +16,21 @@ Stencils are 4th or 6th order (two or three ghost cells per side).  ddbar
 is one sparse operator per outer closure, with the origin mirror folded in,
 applied to u - u[0], so it is exactly 0.0 on constants: the extrapolated
 closure grows round-off about 1e6-fold (2-norm of exp((e^3 - 1) A), 64
-nodes) over a flat normalized run to s = 3.  The radial flows step through
-`flow.rk4`, the package's one RK4 driver, on a stacked (lam, psi/phi) state,
-and guard positivity with `flow.require_positive`.
+nodes) over a flat normalized run to s = 3.  The radial flows run on a
+stacked (lam, psi/phi) state and guard positivity with
+`flow.require_positive`.  The stepper follows from the input: a normalized
+run with given ghosts steps through `flow.sdirk4`, implicit and L-stable,
+on the banded Jacobian A diag(1/lam) - I, A the m x m block of the
+given-closure operator (`RadialGrid.band`); every other run steps through
+`flow.rk4`, explicit under `cfl_bound`.  The normalized flow settles on its
+KE fixed point long before s_end, where the explicit step would stay at
+h^2 min lam; an implicit solve is not exact on constants, so the
+extrapolated closure keeps RK4.
 
 Exact references on the disk (checked symbolically):
     homothety      lam(r, t) = (1 + 2t) (1 - r^2)^-2      (Ric = -2 g at t=0)
     KE fixed point lam_KE(r) = 2 (1 - r^2)^-2             (Ric = -g)
-    potential      psi(t) = [(1+2t)(log(1+2t) - 1) + 1]/2 (homothety run)
+    potential      psi(t) = [(1+2t) log(1+2t) - 2t]/2      (homothety run)
 """
 from __future__ import annotations
 
@@ -32,8 +39,9 @@ from typing import Callable, List, Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .flow import cfl_bound, require_positive, rk4
+from .flow import cfl_bound, require_positive, rk4, sdirk4
 
 # scipy's CSR kernel, called without the dispatch of `@`, which costs about
 # three times the product itself at 64-512 nodes
@@ -57,7 +65,11 @@ def ke_lambda(r):
 
 
 def homothety_psi(t, n=1):
-    return n * ((1.0 + 2.0 * t) * (np.log(1.0 + 2.0 * t) - 1.0) + 1.0) / 2.0
+    """Potential of the ball's homothety from the Bergman potential
+    -log(1 - |z|^2) in complex dimension n: psi(0) = 0 and
+    d_t psi = n log(1 + (n + 1) t), the log of the volume ratio."""
+    a = 1.0 + (n + 1) * t
+    return n / (n + 1) * (a * np.log(a) - (n + 1) * t)
 
 
 def perturbed_poincare_lambda(r, amplitude=0.1, support=0.8):
@@ -125,6 +137,13 @@ class RadialGrid:
              np.arange(0, band.size + 1, band.shape[1])), shape=(m, m + ng))
             for band, last in ((given, m + ng - 1), (extrapolated, m - 1)))
         self._x = np.zeros(m + ng)
+        # the m x m block of the given-closure operator in LAPACK's band
+        # storage, A[i, i + d] at band[ng - d, i + d]: the Jacobian of ddbar
+        # in u, as the u - u[0] shift cancels
+        self.band = np.zeros((2 * ng + 1, m))
+        for d in range(-ng, ng + 1):
+            i = np.arange(max(0, -d), m - max(0, d))
+            self.band[ng - d, i + d] = given[i, lo + d]
 
     def pad(self, u, outer: Optional[np.ndarray] = None):
         """Mirror ghosts across r=0; outer ghosts given or extrapolated."""
@@ -329,6 +348,13 @@ def run_normalized_radial(lam0, r_max, s_end, *, nodes=128, boundary=None,
     phi solves d_s phi = log(lam/lam(0)) - phi pointwise, so phi' is available
     in closed form at every frame; `boundary(r, s)` supplies Dirichlet ghosts
     for the metric (typically the exact KE profile, s-independent).
+
+    With ghosts given, the run steps through `flow.sdirk4` on a banded LU:
+    the flow settles on the KE fixed point long before s_end, where the
+    explicit step would stay at h^2 min lam.  Extrapolated ghosts keep
+    `flow.rk4`, as an implicit solve is not exact on constants and that
+    closure amplifies round-off about 1e6-fold.  `safety` and `cfl_every`
+    only affect the RK4 path.
     """
     grid = RadialGrid(r_max, nodes, order)
     lam_init = lam0(grid.r) if callable(lam0) else np.asarray(lam0, float).copy()
@@ -348,11 +374,36 @@ def run_normalized_radial(lam0, r_max, s_end, *, nodes=128, boundary=None,
         run.frames.append(Frame(step, ss, lam.copy(), phi=phi.copy(),
                                 phi_prime=np.log(lam / lam_init) - phi))
 
-    _, run.steps_taken, _, err = rk4(
-        y, s_end, rhs,
-        lambda ss, v: cfl_bound(float(v[0].min()), 1.0, grid.h, safety),
-        lambda ss, v: require_positive(v[0], ss, min_eig_floor, grid.location),
-        cfl_every=cfl_every, frame_dt=frame_ds or s_end / 50.0, frame=frame)
+    def check(ss, v):
+        require_positive(v[0], ss, min_eig_floor, grid.location)
+
+    frame_ds = frame_ds or s_end / 50.0
+    if boundary is None:
+        _, run.steps_taken, _, err = rk4(
+            y, s_end, rhs,
+            lambda ss, v: cfl_bound(float(v[0].min()), 1.0, grid.h, safety),
+            check, cfl_every=cfl_every, frame_dt=frame_ds, frame=frame)
+    else:
+        ng = grid.ng
+        lu = np.empty((3 * ng + 1, grid.m), order="F")   # ng rows of fill-in
+
+        def factor(ss, v, hg):
+            """I - hg J, J = [[A diag(1/lam) - I, 0], [diag(1/lam), -I]]: the
+            lam block is banded, and phi's follows from lam's correction."""
+            inv = 1.0 / v[0]
+            np.multiply(grid.band, -hg * inv, out=lu[ng:])
+            lu[2 * ng] += 1.0 + hg
+            _, piv, _ = dgbtrf(lu, ng, ng, overwrite_ab=1)
+
+            def solve(r):
+                d = np.empty_like(r)
+                d[0] = dgbtrs(lu, ng, ng, r[0], piv)[0]
+                d[1] = (r[1] + hg * inv * d[0]) / (1.0 + hg)
+                return d
+            return solve
+
+        _, run.steps_taken, _, err = sdirk4(y, s_end, rhs, factor, check,
+                                            frame_dt=frame_ds, frame=frame)
     if err is not None:
         run.broken, run.breakdown = True, str(err)
     return run

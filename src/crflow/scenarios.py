@@ -65,6 +65,27 @@ DEFAULTS = {
 }
 
 
+CHART_KEYS = ("complex_dimension", "topology", "grid_resolution", "r_max",
+              "box_length")
+
+
+def _unknown_keys(raw):
+    """One violation per key that no default, chart field or top-level
+    field names, e.g. a misspelt `flow.safety` that would silently run at
+    its default."""
+    sections = {k: v for k, v in DEFAULTS.items() if isinstance(v, dict)}
+    sections["chart"] = dict.fromkeys(CHART_KEYS)
+    known = {"scenario_name", "kind", "checks", "output", *sections, *DEFAULTS}
+    errs = []
+    for key, value in raw.items():
+        if key not in known:
+            errs.append(f"unknown key {key!r}")
+        elif key in sections and isinstance(value, dict):
+            errs.extend(f"unknown key '{key}.{k}'" for k in value
+                        if k not in sections[key])
+    return errs
+
+
 def _merge(dst, src):
     for k, v in src.items():
         if isinstance(v, dict) and isinstance(dst.get(k), dict):
@@ -86,7 +107,7 @@ def load_config(source) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
     _merge(cfg, raw)
 
-    errs = []
+    errs = _unknown_keys(raw)
     name = cfg.get("scenario_name")
     if not isinstance(name, str) or not name:
         errs.append("scenario_name missing or empty")

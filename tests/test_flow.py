@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from crflow import radial as RD
 from crflow import scenarios as SC
 from crflow.errors import FlowBreakdownError
-from crflow.flow import (DiskGrid, cfl_bound, ddbar_periodic, run_disk2d_flow,
-                         run_torus_flow)
+from crflow.flow import (DiskGrid, cfl_bound, ddbar_periodic, require_positive,
+                         run_disk2d_flow, run_torus_flow, sdirk4)
 
 
 def bumpy_lam0(N, L=1.0, amp=0.05):
@@ -87,6 +88,21 @@ def test_potential_step_rejects_nonpositive_reconstruction():
         assert abs(i - 3) <= 1 and abs(j - 5) <= 1
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("mode", ["metric", "potential"])
+def test_torus_datum_off_the_cone_raises_without_warning(bad, mode):
+    """The datum is guarded before Ric0 takes its log, so a bad node raises
+    FlowBreakdownError at t = 0, at that node, and numpy warns of nothing."""
+    lam0 = bumpy_lam0(16, amp=0.02)
+    lam0[3, 5] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FlowBreakdownError) as exc:
+            run_torus_flow(lam0, 1.0, 1e-3, mode=mode)
+    assert exc.value.time == 0.0
+    assert exc.value.where == (3, 5)
+
+
 @pytest.mark.parametrize("name, steps", [("bumpy-torus", 180),
                                          ("flat-torus-stationary", 110)])
 def test_torus_steps_pinned(name, steps):
@@ -113,6 +129,29 @@ def test_disk2d_steps_pinned():
     _, t = run_disk2d_flow(DiskGrid(0.7, 49), RD.poincare_lambda, boundary, 0.01)
     assert len(times) == 4 * 47 + 1
     assert times[0] == 0.0 and times[-1] == t == 0.01
+
+
+def test_sdirk4_cuts_non_finite_iterates_and_underflows():
+    """y' = -y, with a right-hand side that turns NaN from t = 0.3 on, as a
+    flow's does once a Newton iterate leaves the positive cone: every state
+    checked is finite and on e^-t, steps are cut short of 0.3, and the run
+    ends there in a step-size underflow."""
+    def rhs(t, y, out):
+        out[:] = -y if t < 0.3 else np.nan
+
+    checked = []
+
+    def check(t, y):
+        checked.append(y[0])
+        require_positive(y, t, 0.0, lambda i: i)
+
+    y, steps, t, err = sdirk4(np.array([1.0]), 1.0, rhs,
+                              lambda t, y, hg: lambda r: r / (1.0 + hg), check,
+                              frame_dt=0.5, frame=lambda step, t, y: None)
+    assert np.all(np.isfinite(checked))
+    assert 0.3 - 1e-12 < t < 0.3 and steps > 0
+    assert abs(y[0] / np.exp(-t) - 1.0) < 1e-10
+    assert isinstance(err, FlowBreakdownError) and "underflow" in str(err)
 
 
 def test_disk2d_flow_refuses_nan():

@@ -3,7 +3,7 @@ import pytest
 
 from crflow import radial as RD
 from crflow.errors import FlowBreakdownError
-from crflow.flow import require_positive
+from crflow.flow import cfl_bound, require_positive, rk4
 
 
 def test_homothety_tracking_coarse():
@@ -29,6 +29,16 @@ def test_potential_run_matches_closed_form():
     assert np.abs(psi - RD.homothety_psi(t)).max() < 1e-6
     exact = RD.homothety_lambda(grid.r, t)
     assert np.abs(lam_rec / exact - 1.0).max() < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_homothety_psi_is_the_balls_potential(n):
+    """psi(0) = 0, and psi' = n log(1 + (n + 1) t) by central differences."""
+    assert RD.homothety_psi(0.0, n) == 0.0
+    d = 1e-5
+    for t in (0.05, 0.3, 1.0):
+        fd = (RD.homothety_psi(t + d, n) - RD.homothety_psi(t - d, n)) / (2 * d)
+        assert abs(fd - n * np.log(1.0 + (n + 1) * t)) < 1e-8
 
 
 def test_potential_vs_metric_form_agree():
@@ -114,15 +124,69 @@ def test_flat_normalized_run_is_uniform_and_exact():
 
 
 def test_steps_taken_pinned():
-    """Pinned step counts of two small runs: the CFL step is recomputed every
-    16 steps and steps are cut to land on frame times."""
+    """Pinned step counts of small runs: RK4 recomputes the CFL step every 16
+    steps and cuts steps to land on frame times; the KE-ghost normalized run
+    goes through SDIRK4's error control, the extrapolated one through RK4."""
     run = RD.run_radial_flow(RD.poincare_lambda, 0.7, 0.02, nodes=48, order=6,
                              boundary=lambda r, t: RD.homothety_lambda(r, t))
     assert run.steps_taken == 200
-    nrun = RD.run_normalized_radial(lambda r: 3.0 * RD.poincare_lambda(r), 0.8,
-                                    0.5, nodes=48,
+    lam0 = lambda r: 3.0 * RD.poincare_lambda(r)
+    nrun = RD.run_normalized_radial(lam0, 0.8, 0.5, nodes=48,
                                     boundary=lambda r, s: RD.ke_lambda(r))
-    assert nrun.steps_taken == 672
+    assert nrun.steps_taken == 514
+    xrun = RD.run_normalized_radial(lam0, 0.8, 0.5, nodes=48)
+    assert xrun.steps_taken == 672
+
+
+@pytest.mark.parametrize("order, nodes", [(4, 48), (6, 64)])
+def test_sdirk4_frames_match_rk4(order, nodes):
+    """A KE-ghost normalized run (SDIRK4) against RK4 on the same
+    semi-discrete system, built here from `radial_rhs`: frame times equal,
+    lam within 1e-10 relative and phi within 1e-9 absolute."""
+    lam0 = lambda r: RD.perturbed_poincare_lambda(r, 0.3, support=0.6)
+    ke = lambda r, s: RD.ke_lambda(r)
+    run = RD.run_normalized_radial(lam0, 0.8, 1.0, nodes=nodes, order=order,
+                                   boundary=ke, frame_ds=0.05)
+    grid = RD.RadialGrid(0.8, nodes, order)
+    lam_init = lam0(grid.r)
+    blog = lambda r, s: np.log(ke(r, s))
+
+    def rhs(s, v, out):
+        out[0] = RD.radial_rhs(grid, v[0], s, blog, True)
+        out[1] = np.log(v[0] / lam_init) - v[1]
+
+    ref = []
+    rk4(np.stack([lam_init, np.zeros(nodes)]), 1.0, rhs,
+        lambda s, v: cfl_bound(float(v[0].min()), 1.0, grid.h, 0.5),
+        lambda s, v: None, frame_dt=0.05,
+        frame=lambda step, s, v: ref.append((s, v.copy())))
+    assert [fr.time for fr in run.frames] == [s for s, _ in ref]
+    for fr, (_, v) in zip(run.frames, ref):
+        assert np.abs(fr.lam / v[0] - 1.0).max() <= 1e-10
+        assert np.abs(fr.phi - v[1]).max() <= 1e-9
+
+
+def test_ke_ghost_normalized_run_breaks_down_at_floor():
+    """3 x Poincare decays toward the KE profile 2 (1 - r^2)^-2, through a
+    floor of 2.5 at the origin: the implicit path reports the breakdown."""
+    run = RD.run_normalized_radial(lambda r: 3.0 * RD.poincare_lambda(r), 0.8,
+                                   1.0, nodes=48, min_eig_floor=2.5,
+                                   boundary=lambda r, s: RD.ke_lambda(r))
+    assert run.broken and "floor" in run.breakdown
+    assert run.frames[-1].lam.min() > 2.5
+
+
+def test_band_is_the_given_closure_block():
+    """`RadialGrid.band` holds the m x m block of the given-closure operator,
+    which has no entries beyond ng off the diagonal."""
+    for order, nodes in ((4, 40), (6, 40), (6, 128)):
+        grid = RD.RadialGrid(0.9, nodes, order)
+        ng = grid.ng
+        dense = grid._given.toarray()[:, :nodes]
+        rebuilt = np.zeros_like(dense)
+        for d in range(-ng, ng + 1):
+            rebuilt += np.diag(grid.band[ng - d, max(d, 0):nodes + min(d, 0)], d)
+        assert np.array_equal(rebuilt, dense)
 
 
 def test_breakdown_frame_is_last_accepted_state():

@@ -47,6 +47,25 @@ def test_config_validation_lists_every_violation():
     assert "bogus-check" in msg
 
 
+def test_config_rejects_unknown_keys():
+    bad = json.loads(json.dumps(FAST_TORUS))
+    bad["chart"]["topologgy"] = "periodic-box"
+    bad["flow"]["safty"] = 0.5
+    bad["frobnicate"] = True
+    with pytest.raises(ConfigError) as ei:
+        SC.load_config(bad)
+    assert ei.value.violations == ["unknown key 'chart.topologgy'",
+                                   "unknown key 'flow.safty'",
+                                   "unknown key 'frobnicate'"]
+
+
+def test_bundled_scenarios_load():
+    with open(SC.bundled_manifest()) as f:
+        names = json.load(f)["scenarios"]
+    for name in names:
+        SC.load_config(os.path.join(SC.bundled_scenario_dir(), name))
+
+
 def test_config_defaults_are_echoed():
     cfg = SC.load_config(FAST_TORUS)
     assert cfg["flow"]["safety"] == 0.2
