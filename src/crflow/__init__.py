@@ -13,7 +13,7 @@ from .curvature import (CurvaturePackage, HscReport, chern_connection,
                         chern_curvature, hsc_max, kahler_identity_residual,
                         nabla_bar_torsion_norm, torsion)
 from .cutoff import (CompletionSpec, CutoffSpec, FrakF, conformal_completion,
-                     f_eval, frak_F, frakF_properties_check, phi_eval)
+                     f_eval, frakF_properties_check, phi_eval)
 from .errors import (ConfigError, CrflowError, DegenerateMetricError,
                      DerivativeOrderError, DomainError, FlowBreakdownError,
                      InputsNotKEError, ManifestError, PreconditionError)

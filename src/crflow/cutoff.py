@@ -16,6 +16,7 @@ the log singularity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -24,6 +25,9 @@ from scipy.integrate import quad
 from .errors import DomainError
 from .estimates import EstimateReport, _report
 from .metrics import MetricProvider, ScalarField, conformal_metric
+
+# subdivision limit of frakF's adaptive quadrature in the switch window
+_QUAD_LIMIT = 256
 
 
 # ---------------------------------------------------------------------------
@@ -43,20 +47,24 @@ def f_eval(s, tau):
 
 
 def f_derivatives(s, tau, k):
-    """k-th derivative of f (k = 1..4), valid for s in [0, 1)."""
-    u = (s - 1.0 + tau) / tau
-    if u <= 0:
-        return 0.0
-    w = 1.0 - u * u
+    """k-th derivative of f (k = 1..4) on [0, 1), 0 on [0, 1-tau]; a scalar
+    in gives a float out."""
+    u = (np.asarray(s, dtype=float) - 1.0 + tau) / tau
+    uu = u * u          # products, not powers: numpy's vector pow can round
+    w = 1.0 - uu        # differently from its scalar one
+    ww = w * w
     if k == 1:
-        return 2.0 * u / (tau * w)
-    if k == 2:
-        return 2.0 * (1.0 + u * u) / (tau**2 * w**2)
-    if k == 3:
-        return 4.0 * u * (3.0 + u * u) / (tau**3 * w**3)
-    if k == 4:
-        return 12.0 * (1.0 + 6.0 * u**2 + u**4) / (tau**4 * w**4)
-    raise ValueError("k must be 1..4")
+        out = 2.0 * u / (tau * w)
+    elif k == 2:
+        out = 2.0 * (1.0 + uu) / (tau**2 * ww)
+    elif k == 3:
+        out = 4.0 * u * (3.0 + uu) / (tau**3 * (ww * w))
+    elif k == 4:
+        out = 12.0 * (1.0 + 6.0 * uu + uu * uu) / (tau**4 * (ww * ww))
+    else:
+        raise ValueError("k must be 1..4")
+    out = np.where(u > 0, out, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def _check_tau(tau):
@@ -88,7 +96,6 @@ def _p_int(x):
 @dataclass
 class CutoffSpec:
     tau: float
-    quad_resolution: int = 256      # minimum subdivisions fed to the quadrature
     mollifier_width: Optional[float] = None   # transition width, <= tau^2
 
     def __post_init__(self):
@@ -146,9 +153,8 @@ class FrakF:
         self.spec = spec
         self.tau = spec.tau
         a, b = spec.phi_start, spec.phi_end
-        limit = max(spec.quad_resolution, 200)
         val, err = quad(self._integrand, a, b, epsabs=1e-13, epsrel=1e-12,
-                        limit=limit)
+                        limit=_QUAD_LIMIT)
         self._full = val
         self.quadrature_error = err
         self._f_end = f_eval(b, self.tau)
@@ -165,32 +171,21 @@ class FrakF:
         mid = (s_arr > a) & (s_arr < b)
         for i in np.nonzero(mid)[0]:
             v, _ = quad(self._integrand, a, s_arr[i], epsabs=1e-13,
-                        epsrel=1e-12, limit=max(self.spec.quad_resolution, 200))
+                        epsrel=1e-12, limit=_QUAD_LIMIT)
             out[i] = v
         past = s_arr >= b
         out[past] = self._full + f_eval(s_arr[past], self.tau) - self._f_end
         return float(out[0]) if np.isscalar(s) else out
 
     def derivative(self, s, k=1):
-        """Exact for k <= 2, central finite differences for k = 3, 4."""
-        if k == 1:
-            return phi_eval(s, self.spec) * f_derivatives(s, self.tau, 1)
-        if k == 2:
-            return (phi_eval(s, self.spec, 1) * f_derivatives(s, self.tau, 1)
-                    + phi_eval(s, self.spec) * f_derivatives(s, self.tau, 2))
-        if k in (3, 4):
-            h = min(1e-5, (1.0 - s) / 16.0, self.spec.mollifier_width / 16.0)
-            d2 = lambda x: self.derivative(x, 2)
-            if k == 3:
-                return (d2(s + h) - d2(s - h)) / (2.0 * h)
-            return (d2(s + h) - 2.0 * d2(s) + d2(s - h)) / h**2
-        raise ValueError("k must be 1..4")
+        """frakF^(k) = (phi f')^(k-1) = sum_{j<k} C(k-1, j) phi^(j) f^(k-j),
+        exact for k = 1..4; a scalar in gives a float out."""
+        if k not in (1, 2, 3, 4):
+            raise ValueError("k must be 1..4")
+        return sum(comb(k - 1, j) * phi_eval(s, self.spec, j)
+                   * f_derivatives(s, self.tau, k - j) for j in range(k))
 
     __call__ = value
-
-
-def frak_F(s, spec: CutoffSpec):
-    return FrakF(spec).value(s)
 
 
 def frakF_properties_check(spec: CutoffSpec, derivative_order=4,
@@ -215,7 +210,7 @@ def frakF_properties_check(spec: CutoffSpec, derivative_order=4,
     vals = F.value(grid)
     sup_wk = {}
     for k in range(1, derivative_order + 1):
-        dk = np.array([F.derivative(float(s), k) for s in grid])
+        dk = F.derivative(grid, k)
         sup_wk[f"k{k}"] = float(np.max(np.exp(-k * vals) * np.abs(dk)))
     finite = all(np.isfinite(v) for v in sup_wk.values())
 

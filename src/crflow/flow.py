@@ -46,7 +46,7 @@ def require_positive(v, t, floor, where):
     if not (v.min() > floor and v.max() < np.inf):
         bad = int(np.argmin(np.where(np.isfinite(v), v, -np.inf)))
         raise FlowBreakdownError(t, where(bad),
-                                 f"lam={v.flat[bad]:.3e} <= floor {floor:.0e}")
+                                 f"lam={v.flat[bad]:.3e} <= floor {floor:g}")
 
 
 def _node(i, shape):

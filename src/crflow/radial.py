@@ -13,11 +13,12 @@ an exact homothety, for convergence runs) or cubic extrapolation from the
 interior (for identity checks).
 
 Stencils are 4th or 6th order (two or three ghost cells per side).  ddbar
-is one sparse operator per outer closure, with the origin mirror folded in,
-applied to u - u[0], so it is exactly 0.0 on constants: the extrapolated
+and d1 are each one sparse operator per outer closure, built by one fold of
+the origin mirror and the outer closure into per-node stencil weights, and
+applied to u - u[0], so they are exactly 0.0 on constants: the extrapolated
 closure grows round-off about 1e6-fold (2-norm of exp((e^3 - 1) A), 64
 nodes) over a flat normalized run to s = 3.  The radial flows run on a
-stacked (lam, psi/phi) state and guard positivity with
+stacked state, lam or (lam, phi), and guard positivity with
 `flow.require_positive`.  The stepper follows from the input: a normalized
 run with given ghosts steps through `flow.sdirk4`, implicit and L-stable,
 on the banded Jacobian A diag(1/lam) - I, A the m x m block of the
@@ -100,20 +101,39 @@ class RadialGrid:
         self.r = (np.arange(self.m) + 0.5) * self.h
         self._rg_outer = self.r_max + (np.arange(self.ng) + 0.5) * self.h
         if order == 4:
-            self._w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-            self._w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+            w1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+            w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
         else:
-            self._w1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-            self._w2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0,
-                                 2.0]) / 180.0
-        # ddbar's two stencils folded into per-node weights on the padded
-        # vector g, W[i, j] = (w2[j]/h^2 + w1[j]/(h r_i)) / 4 for g[i + j],
-        # then moved onto x = (u, outer ghosts) as a band: band[i, b] weighs
-        # x[i + b - lo], where g[p] = x[p - ng] but for the closures
+            w1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
+            w2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
+        fused = 0.25 * (w2 / self.h**2 + w1 / (self.h * self.r[:, None]))
+        self._given, self._extrapolated = self._fold(fused)
+        self._d1_given, self._d1_extrapolated = self._fold(
+            np.broadcast_to(w1 / self.h, fused.shape))
+        self._x = np.zeros(m + ng)
+        # the m x m block of the given-closure operator in LAPACK's band
+        # storage, A[i, i + d] at band[ng - d, i + d]: the Jacobian of ddbar
+        # in u, as the u - u[0] shift cancels
+        block = self._given[:, :m]
+        self.band = np.zeros((2 * ng + 1, m))
+        for d in range(-ng, ng + 1):
+            self.band[ng - d, max(d, 0):m + min(d, 0)] = block.diagonal(d)
+
+    def _fold(self, weights):
+        """Per-node stencil weights on the padded vector g, weights[i, j] for
+        g[i + j], moved onto x = (u, outer ghosts) through the closures: the
+        even mirror g[p] = u[ng - 1 - p] across r = 0, then either the given
+        ghosts or cubic extrapolation, one ghost at a time.
+
+        Returns the two m x (m + ng) CSR operators (given, extrapolated).  Each
+        operator is the interior block with the closure folded in, and, for
+        given ghosts, the ng x ng block coupling them to the last ng rows; the
+        zero weights outside the operator point at x[0] and, extrapolating, at
+        x[m - 1], never at stale ghost values."""
+        m, ng = self.m, self.ng
         lo = max(ng, 3)     # room for the extrapolation, which reads u[m - 4]
         given = np.zeros((m, lo + 1 + ng))
-        given[:, lo - ng:] = 0.25 * (self._w2 / self.h**2
-                                     + self._w1 / (self.h * self.r[:, None]))
+        given[:, lo - ng:] = weights
         for i in range(ng):         # even mirror: g[p] = u[ng - 1 - p], p < ng
             for p in range(i, ng):
                 given[i, lo - i + ng - 1 - p] += given[i, lo - i + p - ng]
@@ -127,58 +147,37 @@ class RadialGrid:
             for k in range(i + ng - m + 1):             # the ghosts row i reads
                 row[:4] += row[4 + k] * forms[4 + k]
                 row[4 + k] = 0.0
-        # each operator is m x (m + ng): the interior block with the closure
-        # folded in, and the ng x ng block coupling given ghosts to the last
-        # ng rows; the zero weights outside the operator point at x[0] and,
-        # extrapolating, at x[m - 1], never at stale ghost values
+        # band[i, b] weighs x[i + b - lo]
         cols = np.arange(m)[:, None] + np.arange(-lo, ng + 1)
-        self._given, self._extrapolated = (sparse.csr_array(
+        return tuple(sparse.csr_array(
             (band.ravel(), np.clip(cols, 0, last).ravel(),
              np.arange(0, band.size + 1, band.shape[1])), shape=(m, m + ng))
             for band, last in ((given, m + ng - 1), (extrapolated, m - 1)))
-        self._x = np.zeros(m + ng)
-        # the m x m block of the given-closure operator in LAPACK's band
-        # storage, A[i, i + d] at band[ng - d, i + d]: the Jacobian of ddbar
-        # in u, as the u - u[0] shift cancels
-        self.band = np.zeros((2 * ng + 1, m))
-        for d in range(-ng, ng + 1):
-            i = np.arange(max(0, -d), m - max(0, d))
-            self.band[ng - d, i + d] = given[i, lo + d]
 
-    def pad(self, u, outer: Optional[np.ndarray] = None):
-        """Mirror ghosts across r=0; outer ghosts given or extrapolated."""
-        ng = self.ng
-        g = np.empty(self.m + 2 * ng, dtype=u.dtype)
-        g[ng:ng + self.m] = u
-        g[:ng] = u[:ng][::-1]
-        if outer is not None:
-            g[-ng:] = outer
-        else:
-            # cubic extrapolation, one ghost at a time
-            c = np.array([-1.0, 4.0, -6.0, 4.0])
-            for k in range(ng):
-                g[self.m + ng + k] = c @ g[self.m + ng + k - 4:self.m + ng + k]
-        return g
-
-    def d1(self, u, outer=None):
-        g = self.pad(u, outer)
-        return sum(w * g[j:j + self.m] for j, w in enumerate(self._w1)) / self.h
-
-    def ddbar(self, u, outer=None):
-        """(u_rr + u_r/r)/4 with the even-mirror origin closure, as
-        A @ (u - u[0]) + B @ (outer - u[0]): the rows of [A B] sum to zero, so
-        the shift changes only rounding, and a constant gives exactly 0.0."""
+    def _apply(self, given, extrapolated, u, outer):
+        """A @ (u - u[0]) + B @ (outer - u[0]) for a folded pair: the rows of
+        [A B] sum to zero, so the shift changes only rounding, and a constant
+        gives exactly 0.0."""
         m, x = self.m, self._x
         u0 = u[0]
         np.subtract(u, u0, out=x[:m])
         if outer is None:
-            op = self._extrapolated
+            op = extrapolated
         else:
             np.subtract(outer, u0, out=x[m:])
-            op = self._given
+            op = given
         out = np.zeros(m)
         _csr_matvec(m, m + self.ng, op.indptr, op.indices, op.data, x, out)
         return out
+
+    def d1(self, u, outer=None):
+        """u_r, with the closures of `ddbar`."""
+        return self._apply(self._d1_given, self._d1_extrapolated, u, outer)
+
+    def ddbar(self, u, outer=None):
+        """(u_rr + u_r/r)/4 with the even-mirror origin closure; outer ghosts
+        given or extrapolated."""
+        return self._apply(self._given, self._extrapolated, u, outer)
 
     def outer_ghost_radii(self):
         return self._rg_outer
@@ -240,7 +239,6 @@ class Frame:
     step: int
     time: float
     lam: np.ndarray
-    psi: Optional[np.ndarray] = None
     phi: Optional[np.ndarray] = None          # normalized potential
     phi_prime: Optional[np.ndarray] = None
 
@@ -298,42 +296,36 @@ class RadialRun:
 
 
 def run_radial_flow(lam0, r_max, t_end, *, nodes=256, boundary=None,
-                    safety=1.0, frame_dt=None, with_potential=False,
-                    h_reference=None, max_ric_scale_floor=1.0,
-                    order=4, cfl_every=16, min_eig_floor=1e-10) -> RadialRun:
+                    safety=1.0, frame_dt=None, h_reference=None,
+                    order=4, min_eig_floor=1e-10) -> RadialRun:
     """Unnormalized radial flow from lam0 (array or callable of r).
 
     `boundary(r, t)` gives exact Dirichlet ghost values; None extrapolates.
-    Frames are captured every `frame_dt` of flow time (default: 50 per run).
-    With `with_potential`, psi solves d_t psi = log(lam/lam0).  On breakdown
-    the last frame is the last accepted state.
+    Frames are captured every `frame_dt` of flow time (default: 50 per run);
+    the CFL step is recomputed every 16 steps.  On breakdown the last frame
+    is the last accepted state.
     """
     grid = RadialGrid(r_max, nodes, order)
     lam00 = lam0(grid.r) if callable(lam0) else np.asarray(lam0, float).copy()
-    y = np.zeros((2 if with_potential else 1, grid.m))
-    y[0] = lam00
     run = RadialRun(grid=grid, normalized=False, h_reference=h_reference,
                     boundary=boundary)
     blog = _once_per_time(_log_field(boundary))
 
     def rhs(tt, v, out):
         out[0] = radial_rhs(grid, v[0], tt, blog, False)
-        if with_potential:
-            np.log(np.divide(v[0], lam00, out=out[1]), out=out[1])
 
     def cfl(tt, v):
         R = scalar_curvature(grid, v[0], tt, blog)
-        ric_scale = max(max_ric_scale_floor, float(np.max(np.abs(R))))
+        ric_scale = max(1.0, float(np.max(np.abs(R))))
         return cfl_bound(float(v[0].min()), ric_scale, grid.h, safety)
 
     def frame(step, tt, v):
-        run.frames.append(Frame(step, tt, v[0].copy(),
-                                psi=v[1].copy() if with_potential else None))
+        run.frames.append(Frame(step, tt, v[0].copy()))
 
     y, run.steps_taken, t, err = rk4(
-        y, t_end, rhs, cfl,
+        lam00[None], t_end, rhs, cfl,
         lambda tt, v: require_positive(v[0], tt, min_eig_floor, grid.location),
-        cfl_every=cfl_every, frame_dt=frame_dt or t_end / 50.0, frame=frame)
+        cfl_every=16, frame_dt=frame_dt or t_end / 50.0, frame=frame)
     if err is not None:
         run.broken, run.breakdown = True, str(err)
         run.frames.append(Frame(run.steps_taken, t, y[0].copy()))
@@ -342,7 +334,7 @@ def run_radial_flow(lam0, r_max, t_end, *, nodes=256, boundary=None,
 
 def run_normalized_radial(lam0, r_max, s_end, *, nodes=128, boundary=None,
                           safety=1.0, frame_ds=None, h_reference=None,
-                          order=4, cfl_every=16, min_eig_floor=1e-10) -> RadialRun:
+                          order=4, min_eig_floor=1e-10) -> RadialRun:
     """Normalized flow d_s lam = ddbar log lam - lam, with the potential pair.
 
     phi solves d_s phi = log(lam/lam(0)) - phi pointwise, so phi' is available
@@ -352,9 +344,9 @@ def run_normalized_radial(lam0, r_max, s_end, *, nodes=128, boundary=None,
     With ghosts given, the run steps through `flow.sdirk4` on a banded LU:
     the flow settles on the KE fixed point long before s_end, where the
     explicit step would stay at h^2 min lam.  Extrapolated ghosts keep
-    `flow.rk4`, as an implicit solve is not exact on constants and that
-    closure amplifies round-off about 1e6-fold.  `safety` and `cfl_every`
-    only affect the RK4 path.
+    `flow.rk4`, with the CFL step recomputed every 16 steps, as an implicit
+    solve is not exact on constants and that closure amplifies round-off
+    about 1e6-fold.  `safety` only affects the RK4 path.
     """
     grid = RadialGrid(r_max, nodes, order)
     lam_init = lam0(grid.r) if callable(lam0) else np.asarray(lam0, float).copy()
@@ -382,7 +374,7 @@ def run_normalized_radial(lam0, r_max, s_end, *, nodes=128, boundary=None,
         _, run.steps_taken, _, err = rk4(
             y, s_end, rhs,
             lambda ss, v: cfl_bound(float(v[0].min()), 1.0, grid.h, safety),
-            check, cfl_every=cfl_every, frame_dt=frame_ds, frame=frame)
+            check, cfl_every=16, frame_dt=frame_ds, frame=frame)
     else:
         ng = grid.ng
         lu = np.empty((3 * ng + 1, grid.m), order="F")   # ng rows of fill-in

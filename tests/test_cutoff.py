@@ -95,6 +95,41 @@ def test_frakF_derivative_nonneg_and_matches():
 
 
 @pytest.mark.parametrize("tau", [0.02, 0.05, 0.1])
+def test_frakF_derivatives_match_mpmath(tau):
+    """frakF^(k) = (phi f')^(k-1) for k = 1..4 against mpmath's 50-digit
+    numerical derivative of phi f', written out here: before the switch, in
+    each half of the window, on the plateau and near s_hi.  Array and scalar
+    calls agree."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    spec = CO.CutoffSpec(tau=tau)
+    F = CO.FrakF(spec)
+    a, w = mp.mpf(spec.phi_start), mp.mpf(spec.mollifier_width)
+    t = mp.mpf(tau)
+
+    def P(x):
+        return x**5 * (7 - 14 * x + 10 * x**2 - mp.mpf(5) / 2 * x**3)
+
+    def phi_fprime(s):
+        v = (s - a) / w
+        phi = 0 if v <= 0 else (P(2 * v) if v <= 0.5 else
+                                (1 - P(2 * (1 - v)) if v < 1 else 1))
+        u = (s - 1 + t) / t
+        return 0 if u <= 0 else phi * 2 * u / (t * (1 - u * u))
+
+    pts = np.array([1.0 - 1.5 * tau, spec.phi_start - 0.3 * tau**2,
+                    spec.phi_start + 0.25 * tau**2, spec.phi_start + 0.7 * tau**2,
+                    1.0 - tau / 2.0, 1.0 - tau / 64.0])
+    for k in range(1, 5):
+        exact = np.array([float(mp.diff(phi_fprime, mp.mpf(float(x)), k - 1))
+                          for x in pts])
+        got = F.derivative(pts, k)
+        np.testing.assert_allclose(got, exact, rtol=1e-10, atol=0)
+        assert all(F.derivative(float(x), k) == g for x, g in zip(pts, got))
+
+
+@pytest.mark.parametrize("tau", [0.02, 0.05, 0.1])
 def test_frakF_properties_check(tau):
     spec = CO.CutoffSpec(tau=tau)
     rep = CO.frakF_properties_check(spec, 4, sweep_points=1500)

@@ -80,36 +80,54 @@ def test_origin_regularity_even_mirror():
     assert err.max() < 1e-7
 
 
+# central first- and second-derivative weights, written out independently
+# of the program
+_W1 = {4: np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0,
+       6: np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0}
+_W2 = {4: np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0,
+       6: np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0}
+
+
 @pytest.mark.parametrize("order", [4, 6])
 @pytest.mark.parametrize("nodes", [96, 512])
 @pytest.mark.parametrize("outer", ["given", "extrapolated"])
 def test_fused_ddbar_matches_two_stencil_formula(order, nodes, outer):
-    """The fused per-node weights reproduce
-    0.25 (S(g, w2)/h^2 + S(g, w1)/(h r)) on the padded vector g."""
+    """The folded operators reproduce 0.25 (S(w2)/h^2 + S(w1)/(h r)) and
+    S(w1)/h, S(w) the stencil sum on the padded vector g: u with even-mirror
+    ghosts across r = 0 and outer ghosts given or cubically extrapolated."""
     grid = RD.RadialGrid(0.9, nodes, order)
+    m, ng = grid.m, order // 2
     u = np.log(RD.perturbed_poincare_lambda(grid.r, 0.1))
     ghosts = None
     if outer == "given":
         ghosts = np.log(RD.poincare_lambda(grid.outer_ghost_radii()))
-    g = grid.pad(u, ghosts)
+    g = np.concatenate([u[:ng][::-1], u, np.zeros(ng)])
+    for k in range(ng):
+        p = ng + m + k
+        g[p] = ghosts[k] if outer == "given" else \
+            4.0 * g[p - 1] - 6.0 * g[p - 2] + 4.0 * g[p - 3] - g[p - 4]
 
     def S(w):
-        return sum(w[j] * g[j:j + grid.m] for j in range(len(w)))
+        return sum(w[j] * g[j:j + m] for j in range(len(w)))
 
-    ref = 0.25 * (S(grid._w2) / grid.h**2 + S(grid._w1) / (grid.h * grid.r))
+    ref = 0.25 * (S(_W2[order]) / grid.h**2 + S(_W1[order]) / (grid.h * grid.r))
     np.testing.assert_allclose(grid.ddbar(u, ghosts), ref, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(grid.d1(u, ghosts), S(_W1[order]) / grid.h,
+                               rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("order", [4, 6])
 @pytest.mark.parametrize("nodes", [64, 96, 128, 256, 512])
 @pytest.mark.parametrize("outer", ["given", "extrapolated"])
 def test_ddbar_of_constant_is_exactly_zero(order, nodes, outer):
-    """The shift by u[0] makes the folded operator exact on constants, so a
-    flat profile picks up no round-off that the closure could amplify."""
+    """The shift by u[0] makes the folded operators, ddbar and d1, exact on
+    constants, so a flat profile picks up no round-off that the closure
+    could amplify."""
     grid = RD.RadialGrid(0.9, nodes, order)
-    for c in (1.0, -3.7, np.log(0.123), 1e6):
-        ghosts = np.full(grid.ng, c) if outer == "given" else None
-        assert np.all(grid.ddbar(np.full(nodes, c), ghosts) == 0.0)
+    for op in (grid.ddbar, grid.d1):
+        for c in (1.0, -3.7, np.log(0.123), 1e6):
+            ghosts = np.full(grid.ng, c) if outer == "given" else None
+            assert np.all(op(np.full(nodes, c), ghosts) == 0.0)
 
 
 def test_flat_normalized_run_is_uniform_and_exact():
@@ -172,7 +190,7 @@ def test_ke_ghost_normalized_run_breaks_down_at_floor():
     run = RD.run_normalized_radial(lambda r: 3.0 * RD.poincare_lambda(r), 0.8,
                                    1.0, nodes=48, min_eig_floor=2.5,
                                    boundary=lambda r, s: RD.ke_lambda(r))
-    assert run.broken and "floor" in run.breakdown
+    assert run.broken and "<= floor 2.5" in run.breakdown
     assert run.frames[-1].lam.min() > 2.5
 
 
