@@ -34,13 +34,18 @@ _QUAD_LIMIT = 256
 # the ramp f
 # ---------------------------------------------------------------------------
 
+def _in_domain(s, name):
+    """s as a float array; DomainError unless all of it lies in [0, 1)."""
+    s_arr = np.asarray(s, dtype=float)
+    if np.any(s_arr >= 1.0) or np.any(s_arr < 0.0):
+        raise DomainError(f"{name} is defined on [0, 1)")
+    return s_arr
+
+
 def f_eval(s, tau):
     """f(s); 0 on [0, 1-tau], -log(1 - u^2) with u = (s-1+tau)/tau after."""
     _check_tau(tau)
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr >= 1.0) or np.any(s_arr < 0.0):
-        raise DomainError("f is defined on [0, 1)")
-    u = (s_arr - 1.0 + tau) / tau
+    u = (_in_domain(s, "f") - 1.0 + tau) / tau
     u = np.where(u < 1e-12, 0.0, u)   # exact zero on [0, 1 - tau]
     out = np.where(u > 0, -np.log1p(-np.clip(u, 0.0, None) ** 2), 0.0)
     return float(out) if np.isscalar(s) else out
@@ -48,8 +53,14 @@ def f_eval(s, tau):
 
 def f_derivatives(s, tau, k):
     """k-th derivative of f (k = 1..4) on [0, 1), 0 on [0, 1-tau]; a scalar
-    in gives a float out."""
-    u = (np.asarray(s, dtype=float) - 1.0 + tau) / tau
+    in gives a float out.  Raises DomainError outside [0, 1)."""
+    return _f_derivatives(_in_domain(s, "f"), tau, k)
+
+
+def _f_derivatives(s, tau, k):
+    """`f_derivatives` on s (float or float array) known to lie in [0, 1):
+    the quadrature in `FrakF` calls it once per point of the switch window."""
+    u = (s - 1.0 + tau) / tau
     uu = u * u          # products, not powers: numpy's vector pow can round
     w = 1.0 - uu        # differently from its scalar one
     ww = w * w
@@ -160,12 +171,10 @@ class FrakF:
         self._f_end = f_eval(b, self.tau)
 
     def _integrand(self, s):
-        return phi_eval(s, self.spec) * f_derivatives(s, self.tau, 1)
+        return phi_eval(s, self.spec) * _f_derivatives(s, self.tau, 1)
 
     def value(self, s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        if np.any(s_arr >= 1.0) or np.any(s_arr < 0.0):
-            raise DomainError("frakF is defined on [0, 1)")
+        s_arr = np.atleast_1d(_in_domain(s, "frakF"))
         out = np.zeros_like(s_arr)
         a, b = self.spec.phi_start, self.spec.phi_end
         mid = (s_arr > a) & (s_arr < b)
@@ -179,11 +188,13 @@ class FrakF:
 
     def derivative(self, s, k=1):
         """frakF^(k) = (phi f')^(k-1) = sum_{j<k} C(k-1, j) phi^(j) f^(k-j),
-        exact for k = 1..4; a scalar in gives a float out."""
+        exact for k = 1..4; a scalar in gives a float out.  Raises
+        DomainError outside [0, 1), as `value` does."""
         if k not in (1, 2, 3, 4):
             raise ValueError("k must be 1..4")
+        s_arr = _in_domain(s, "frakF")
         return sum(comb(k - 1, j) * phi_eval(s, self.spec, j)
-                   * f_derivatives(s, self.tau, k - j) for j in range(k))
+                   * _f_derivatives(s_arr, self.tau, k - j) for j in range(k))
 
     __call__ = value
 

@@ -13,10 +13,11 @@ and its potential form, with Ric0 = -ddbar log lam0,
 
 Space discretization is the 9-point second-order stencil.  There are two
 steppers, on one loop (`_march`) that owns frames, breakdown and the step
-count: `rk4`, explicit RK4 under a `cfl_bound` step limit, steps these flows
-and the radial ones; `sdirk4`, an L-stable implicit SDIRK4 with its own
-error control, steps the radial normalized flow when its outer ghosts are
-given, the one flow here that stays stiff at its fixed point.
+count: `rk4`, explicit RK4 under a `cfl_bound` step limit, steps these
+flows, the radial potential form and the radial metric flows with
+extrapolated ghosts; `sdirk4`, an L-stable implicit SDIRK4 with its own
+error control, steps the radial metric flows whose outer ghosts are given,
+where accuracy allows steps far above the explicit limit.
 `require_positive` is the one positivity guard: it refuses NaN, +-inf and
 values at or below a floor, and breakdown raises `FlowBreakdownError` with
 the offending location.  Hermitian symmetry is exact in this representation
@@ -61,9 +62,11 @@ def _march(y, t_end, advance, check, frame_dt, frame):
     dt <= limit, the distance to the next frame or t_end, so every frame lands
     exactly on its time.  `check(t, y)` raises FlowBreakdownError on the
     initial state and on each candidate, which is accepted only if it passes.
-    `frame(step, t, y)` runs at t = 0, every `frame_dt` and at t_end.
-    Returns (y, steps, t, error) at the last accepted state; error is the
-    breakdown that stopped the run.
+    A candidate that fails is retried with the step cut by 4, so a breakdown
+    is placed to within 1e-8 (1 + t) of its time whatever the step size: the
+    failure of a step below that is the breakdown.  `frame(step, t, y)` runs
+    at t = 0, every `frame_dt` and at t_end.  Returns (y, steps, t, error) at
+    the last accepted state; error is the breakdown that stopped the run.
     """
     t, step, next_frame = 0.0, 0, 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -76,9 +79,17 @@ def _march(y, t_end, advance, check, frame_dt, frame):
                     next_frame += frame_dt
                 if t >= t_end - 1e-14:
                     break
-                new, dt = advance(t, y, step, min(
-                    t_end - t, next_frame - t if next_frame > t else t_end - t))
-                check(t + dt, new)
+                limit = min(t_end - t,
+                            next_frame - t if next_frame > t else t_end - t)
+                while True:
+                    new, dt = advance(t, y, step, limit)
+                    try:
+                        check(t + dt, new)
+                        break
+                    except FlowBreakdownError:
+                        if dt < 1e-8 * (1.0 + t):
+                            raise
+                        limit = dt / 4
                 y, t, step = new, t + dt, step + 1
         except FlowBreakdownError as e:
             return y, step, t, e

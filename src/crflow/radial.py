@@ -18,15 +18,18 @@ the origin mirror and the outer closure into per-node stencil weights, and
 applied to u - u[0], so they are exactly 0.0 on constants: the extrapolated
 closure grows round-off about 1e6-fold (2-norm of exp((e^3 - 1) A), 64
 nodes) over a flat normalized run to s = 3.  The radial flows run on a
-stacked state, lam or (lam, phi), and guard positivity with
-`flow.require_positive`.  The stepper follows from the input: a normalized
-run with given ghosts steps through `flow.sdirk4`, implicit and L-stable,
-on the banded Jacobian A diag(1/lam) - I, A the m x m block of the
-given-closure operator (`RadialGrid.band`); every other run steps through
-`flow.rk4`, explicit under `cfl_bound`.  The normalized flow settles on its
-KE fixed point long before s_end, where the explicit step would stay at
-h^2 min lam; an implicit solve is not exact on constants, so the
-extrapolated closure keeps RK4.
+state, lam or (lam, phi), and guard positivity with
+`flow.require_positive`.  The stepper follows from the input: a metric run
+with given ghosts steps through `flow.sdirk4`, implicit and L-stable, on the
+banded Jacobian A diag(1/lam), less I for the normalized flow, A the m x m
+block of the given-closure operator (`RadialGrid.band`, factored by
+`RadialGrid.band_solver`); a run with extrapolated ghosts, and the potential
+form, step through `flow.rk4`, explicit under `cfl_bound`.  The explicit
+step stays at h^2 min lam however smooth the solution (141,967 steps for
+the 512-node homothety to t = 0.5, where SDIRK4 takes 14), and the
+normalized flow settles on its KE fixed point long before s_end; an
+implicit solve is not exact on constants, so the extrapolated closure keeps
+RK4.
 
 Exact references on the disk (checked symbolically):
     homothety      lam(r, t) = (1 + 2t) (1 - r^2)^-2      (Ric = -2 g at t=0)
@@ -179,6 +182,17 @@ class RadialGrid:
         given or extrapolated."""
         return self._apply(self._given, self._extrapolated, u, outer)
 
+    def band_solver(self, lam, hg, shift):
+        """`solve(r)` = (I - hg (A diag(1/lam) - shift I))^-1 r from one banded
+        LU, A the m x m block of the given-closure ddbar: the SDIRK4 matrix of
+        d_t lam = ddbar log lam - shift lam with given ghosts."""
+        ng = self.ng
+        lu = np.empty((3 * ng + 1, self.m), order="F")   # ng rows of fill-in
+        np.multiply(self.band, -hg * (1.0 / lam), out=lu[ng:])
+        lu[2 * ng] += 1.0 + hg * shift
+        _, piv, _ = dgbtrf(lu, ng, ng, overwrite_ab=1)
+        return lambda r: dgbtrs(lu, ng, ng, r, piv)[0]
+
     def outer_ghost_radii(self):
         return self._rg_outer
 
@@ -301,9 +315,11 @@ def run_radial_flow(lam0, r_max, t_end, *, nodes=256, boundary=None,
     """Unnormalized radial flow from lam0 (array or callable of r).
 
     `boundary(r, t)` gives exact Dirichlet ghost values; None extrapolates.
-    Frames are captured every `frame_dt` of flow time (default: 50 per run);
-    the CFL step is recomputed every 16 steps.  On breakdown the last frame
-    is the last accepted state.
+    Frames are captured every `frame_dt` of flow time (default: 50 per run).
+    With ghosts given, the run steps through `flow.sdirk4` on a banded LU.
+    Extrapolated ghosts keep `flow.rk4`, with the CFL step, scaled by
+    `safety`, recomputed every 16 steps; `safety` only affects that path.
+    On breakdown the last frame is the last accepted state.
     """
     grid = RadialGrid(r_max, nodes, order)
     lam00 = lam0(grid.r) if callable(lam0) else np.asarray(lam0, float).copy()
@@ -312,23 +328,31 @@ def run_radial_flow(lam0, r_max, t_end, *, nodes=256, boundary=None,
     blog = _once_per_time(_log_field(boundary))
 
     def rhs(tt, v, out):
-        out[0] = radial_rhs(grid, v[0], tt, blog, False)
+        out[:] = radial_rhs(grid, v, tt, blog, False)
 
     def cfl(tt, v):
-        R = scalar_curvature(grid, v[0], tt, blog)
+        R = scalar_curvature(grid, v, tt, blog)
         ric_scale = max(1.0, float(np.max(np.abs(R))))
-        return cfl_bound(float(v[0].min()), ric_scale, grid.h, safety)
+        return cfl_bound(float(v.min()), ric_scale, grid.h, safety)
 
     def frame(step, tt, v):
-        run.frames.append(Frame(step, tt, v[0].copy()))
+        run.frames.append(Frame(step, tt, v.copy()))
 
-    y, run.steps_taken, t, err = rk4(
-        lam00[None], t_end, rhs, cfl,
-        lambda tt, v: require_positive(v[0], tt, min_eig_floor, grid.location),
-        cfl_every=16, frame_dt=frame_dt or t_end / 50.0, frame=frame)
+    def check(tt, v):
+        require_positive(v, tt, min_eig_floor, grid.location)
+
+    frame_dt = frame_dt or t_end / 50.0
+    if boundary is None:
+        y, run.steps_taken, t, err = rk4(lam00, t_end, rhs, cfl, check,
+                                         cfl_every=16, frame_dt=frame_dt,
+                                         frame=frame)
+    else:
+        y, run.steps_taken, t, err = sdirk4(
+            lam00, t_end, rhs, lambda tt, v, hg: grid.band_solver(v, hg, 0.0),
+            check, frame_dt=frame_dt, frame=frame)
     if err is not None:
         run.broken, run.breakdown = True, str(err)
-        run.frames.append(Frame(run.steps_taken, t, y[0].copy()))
+        run.frames.append(Frame(run.steps_taken, t, y.copy()))
     return run
 
 
@@ -376,20 +400,15 @@ def run_normalized_radial(lam0, r_max, s_end, *, nodes=128, boundary=None,
             lambda ss, v: cfl_bound(float(v[0].min()), 1.0, grid.h, safety),
             check, cfl_every=16, frame_dt=frame_ds, frame=frame)
     else:
-        ng = grid.ng
-        lu = np.empty((3 * ng + 1, grid.m), order="F")   # ng rows of fill-in
-
         def factor(ss, v, hg):
             """I - hg J, J = [[A diag(1/lam) - I, 0], [diag(1/lam), -I]]: the
             lam block is banded, and phi's follows from lam's correction."""
+            solve_lam = grid.band_solver(v[0], hg, 1.0)
             inv = 1.0 / v[0]
-            np.multiply(grid.band, -hg * inv, out=lu[ng:])
-            lu[2 * ng] += 1.0 + hg
-            _, piv, _ = dgbtrf(lu, ng, ng, overwrite_ab=1)
 
             def solve(r):
                 d = np.empty_like(r)
-                d[0] = dgbtrs(lu, ng, ng, r[0], piv)[0]
+                d[0] = solve_lam(r[0])
                 d[1] = (r[1] + hg * inv * d[0]) / (1.0 + hg)
                 return d
             return solve

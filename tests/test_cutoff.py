@@ -28,6 +28,21 @@ def test_f_domain_error():
         CO.f_eval(0.5, 0.2)  # tau outside (0, 1/8)
 
 
+@pytest.mark.parametrize("s", [1.05, -0.1])
+def test_derivatives_domain_error(s):
+    """f^(k) and frakF^(k) refuse s outside [0, 1), as f and frakF do; past
+    s = 1 they would return finite wrong numbers (tau = 0.1: frakF'(1.05)
+    would read -24.0)."""
+    F = CO.FrakF(CO.CutoffSpec(tau=0.1))
+    for k in range(1, 5):
+        with pytest.raises(DomainError):
+            CO.f_derivatives(s, 0.1, k)
+        with pytest.raises(DomainError):
+            F.derivative(s, k)
+        with pytest.raises(DomainError):
+            F.derivative(np.array([0.5, s]), k)
+
+
 def test_f_derivatives_match_fd():
     tau = 0.1
     for s in (0.93, 0.96, 0.985):

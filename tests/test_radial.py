@@ -56,7 +56,7 @@ def test_potential_vs_metric_form_agree():
 
 
 def test_one_step_run_matches_homothety():
-    """One RK4 step of dt = h^2/2 through `run_radial_flow` with exact
+    """One SDIRK4 step of dt = h^2/2 through `run_radial_flow` with exact
     Dirichlet ghosts lands on the homothety."""
     grid = RD.RadialGrid(0.7, 64)
     dt = 0.5 * grid.h**2
@@ -143,17 +143,88 @@ def test_flat_normalized_run_is_uniform_and_exact():
 
 def test_steps_taken_pinned():
     """Pinned step counts of small runs: RK4 recomputes the CFL step every 16
-    steps and cuts steps to land on frame times; the KE-ghost normalized run
-    goes through SDIRK4's error control, the extrapolated one through RK4."""
+    steps and cuts steps to land on frame times; runs with given ghosts go
+    through SDIRK4's error control, here one step per frame on the homothety,
+    and runs with extrapolated ghosts through RK4."""
     run = RD.run_radial_flow(RD.poincare_lambda, 0.7, 0.02, nodes=48, order=6,
                              boundary=lambda r, t: RD.homothety_lambda(r, t))
-    assert run.steps_taken == 200
+    assert run.steps_taken == 50
+    xrun = RD.run_radial_flow(RD.poincare_lambda, 0.7, 0.02, nodes=48, order=6)
+    assert xrun.steps_taken == 200
     lam0 = lambda r: 3.0 * RD.poincare_lambda(r)
     nrun = RD.run_normalized_radial(lam0, 0.8, 0.5, nodes=48,
                                     boundary=lambda r, s: RD.ke_lambda(r))
     assert nrun.steps_taken == 514
     xrun = RD.run_normalized_radial(lam0, 0.8, 0.5, nodes=48)
     assert xrun.steps_taken == 672
+
+
+@pytest.mark.parametrize("order, nodes", [(4, 48), (6, 64)])
+def test_sdirk4_unnormalized_frames_match_rk4(order, nodes):
+    """A given-ghost unnormalized run (SDIRK4) from perturbed Poincare data
+    against RK4 on the same semi-discrete system, built here from
+    `radial_rhs`: frame times equal, lam within 1e-10 relative."""
+    lam0 = lambda r: RD.perturbed_poincare_lambda(r, 0.3, support=0.6)
+    bnd = lambda r, t: RD.homothety_lambda(r, t)
+    run = RD.run_radial_flow(lam0, 0.8, 0.2, nodes=nodes, order=order,
+                             boundary=bnd, frame_dt=0.01)
+    grid = RD.RadialGrid(0.8, nodes, order)
+    blog = lambda r, t: np.log(bnd(r, t))
+
+    def rhs(t, v, out):
+        out[:] = RD.radial_rhs(grid, v, t, blog)
+
+    ref = []
+    rk4(lam0(grid.r), 0.2, rhs,
+        lambda t, v: cfl_bound(float(v.min()), 1.0, grid.h, 0.5),
+        lambda t, v: None, frame_dt=0.01,
+        frame=lambda step, t, v: ref.append((t, v.copy())))
+    assert [fr.time for fr in run.frames] == [t for t, _ in ref]
+    for fr, (_, v) in zip(run.frames, ref):
+        assert np.abs(fr.lam / v - 1.0).max() <= 1e-10
+
+
+def _cap(r):
+    return 1.0 / (1.0 + r**2) ** 2
+
+
+def _cap_ghosts(r, t):
+    return (1.0 - 2.0 * t) * _cap(r)
+
+
+def test_breakdown_time_is_resolved():
+    """The cap (1 + r^2)^-2 shrinks as (1 - 2t) (1 + r^2)^-2 and crosses the
+    floor 0.05 at t = (1 - 0.05/min lam0)/2.  Both steppers place the
+    breakdown there to 1e-6, however long their steps: SDIRK4 through
+    `run_radial_flow`, RK4 on the same system built from `radial_rhs`."""
+    run = RD.run_radial_flow(_cap, 0.8, 0.45, nodes=32, min_eig_floor=0.05,
+                             boundary=_cap_ghosts)
+    crossing = (1.0 - 0.05 / _cap(run.grid.r).min()) / 2.0
+    assert run.broken and "floor" in run.breakdown
+    assert abs(run.frames[-1].time - crossing) < 1e-6
+    grid = run.grid
+    blog = lambda r, t: np.log(_cap_ghosts(r, t))
+
+    def rhs(t, v, out):
+        out[:] = RD.radial_rhs(grid, v, t, blog)
+
+    _, _, t, err = rk4(
+        _cap(grid.r), 0.45, rhs,
+        lambda t, v: cfl_bound(float(v.min()), 2.0, grid.h, 1.0),
+        lambda t, v: require_positive(v, t, 0.05, grid.location))
+    assert isinstance(err, FlowBreakdownError)
+    assert abs(t - crossing) < 1e-6 and abs(err.time - crossing) < 1e-6
+
+
+def test_cap_flow_reaches_singular_time():
+    """On a floor of 1e-10 the cap flows to its singular time t = 1/2, where
+    lam -> 0 everywhere; SDIRK4 gets there in under 1,000 steps, where
+    RK4's step h^2 min lam shrinks with lam."""
+    run = RD.run_radial_flow(_cap, 0.8, 0.6, nodes=32, min_eig_floor=1e-10,
+                             boundary=_cap_ghosts)
+    assert run.broken and "floor" in run.breakdown
+    assert abs(run.frames[-1].time - 0.5) < 1e-6
+    assert run.steps_taken < 1000
 
 
 @pytest.mark.parametrize("order, nodes", [(4, 48), (6, 64)])
