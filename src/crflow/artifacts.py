@@ -183,9 +183,3 @@ def plot_run_csv(run_dir, out_dir=None):
         written.append(path)
     return written
 
-
-def export_cutoff_csv(path, s_values, f_vals, phi_vals, frak_vals, dfrak_vals):
-    lines = ["s,f,phi,frakF,frakF_prime"]
-    for row in zip(s_values, f_vals, phi_vals, frak_vals, dfrak_vals):
-        lines.append(",".join(repr(float(v)) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")

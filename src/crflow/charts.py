@@ -4,14 +4,17 @@ A chart is a single coordinate patch of C^n with one of three topologies:
 
 * ``periodic-box``  -- fundamental domain [0, L)^{2n} in real coordinates,
   index arithmetic wraps modulo the resolution;
-* ``radial-disk``   -- rotationally invariant scenarios on |z| < 1;
-* ``radial-plane``  -- rotationally invariant scenarios on all of C^n.
+* ``radial-disk``   -- rotationally invariant scenarios on lo <= |z| < hi
+  inside the unit disk, by default all of it;
+* ``radial-plane``  -- rotationally invariant scenarios on lo <= |z| < hi,
+  by default all of C^n.
 
 No atlases: every scenario lives on exactly one chart.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,16 +27,13 @@ TOPOLOGIES = ("periodic-box", "radial-disk", "radial-plane")
 class ChartDomain:
     complex_dimension: int
     topology: str
-    grid_resolution: int
-    coordinate_bounds: tuple = field(default=None)
+    coordinate_bounds: tuple = None
 
     def __post_init__(self):
         if self.complex_dimension < 1:
             raise ValueError("complex_dimension must be >= 1")
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}")
-        if self.grid_resolution < 8:
-            raise ValueError("grid_resolution must be >= 8")
         bounds = self.coordinate_bounds
         if bounds is None:
             bounds = self._default_bounds()
@@ -50,8 +50,8 @@ class ChartDomain:
         if self.topology == "periodic-box":
             return tuple((0.0, 1.0) for _ in range(2 * self.complex_dimension))
         if self.topology == "radial-disk":
-            return ((0.0, 0.95),)
-        return ((0.0, 10.0),)
+            return ((0.0, 1.0),)
+        return ((0.0, math.inf),)
 
     @property
     def n(self) -> int:
@@ -63,29 +63,9 @@ class ChartDomain:
             return False
         if self.topology == "periodic-box":
             return True  # identified modulo the box
-        r = float(np.sqrt(np.sum(np.abs(z) ** 2)))
         lo, hi = self.coordinate_bounds[0]
-        if self.topology == "radial-disk":
-            return r < 1.0
-        return True
+        return lo <= float(np.sqrt(np.sum(np.abs(z) ** 2))) < hi
 
     def require(self, z):
         if not self.contains(z):
             raise DomainError(f"point {z} outside chart {self.topology}")
-
-    def radial_nodes(self) -> np.ndarray:
-        """Cell-centered radial grid on (0, r_max); avoids the r=0 node."""
-        if self.topology not in ("radial-disk", "radial-plane"):
-            raise ValueError("radial nodes only on radial charts")
-        lo, hi = self.coordinate_bounds[0]
-        m = self.grid_resolution
-        h = (hi - lo) / m
-        return lo + (np.arange(m) + 0.5) * h
-
-    def box_axes(self):
-        """Per-real-axis sample positions for the periodic box."""
-        if self.topology != "periodic-box":
-            raise ValueError("box axes only on periodic-box charts")
-        m = self.grid_resolution
-        return [np.linspace(lo, hi, m, endpoint=False)
-                for lo, hi in self.coordinate_bounds]

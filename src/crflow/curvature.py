@@ -200,8 +200,9 @@ def hsc_max(g: MetricProvider, point, samples=2048, ascent_steps=50,
     direction.
 
     The report's ``nabla_bar_T_norm``/``combined`` fields are filled from the
-    frame sweep when ``torsion_term`` is "auto" (backend depth permitting;
-    exactly 0 for Kahler metrics) or forced with True.
+    frame sweep when ``torsion_term`` is "auto" (the metric's declared
+    derivative depth permitting; exactly 0 for Kahler metrics) or forced
+    with True.
     """
     point = np.asarray(point, dtype=complex)
     kap, best_dir, used = _hsc_kappa(g, point, samples, ascent_steps, seed, top_k)

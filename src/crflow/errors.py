@@ -23,7 +23,7 @@ class DegenerateMetricError(CrflowError):
 
 
 class DerivativeOrderError(CrflowError):
-    """Operation needs deeper derivative access than the backend declares."""
+    """Operation needs deeper derivative access than the metric declares."""
 
 
 class FlowBreakdownError(CrflowError):

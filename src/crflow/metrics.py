@@ -11,10 +11,16 @@ Anti-holomorphic first derivatives follow from Hermitian symmetry
 pure-holomorphic second derivatives, so (matrix, d1, d2) is the complete
 derivative interface.
 
+A provider is one ``MetricProvider``: a chart, a label and the closures for
+these three, either closed forms or, through ``with_fd_backend``, central
+finite differences of the matrix closure.  Each public call checks that z
+lies in the chart; ``scaled``, ``conformal_metric`` and ``mobius_pullback``
+compose the base's raw closures, so a composite checks each point once.
+
 ``max_order`` is the declared derivative *depth*: 1 = connection/torsion,
 2 = curvature, 3 = derivatives of torsion (covariant derivatives of a
-first-order object).  Finite-difference backends default to depth 2 and must
-be constructed with ``max_order=3`` explicitly, so torsion-derivative
+first-order object).  Finite-difference providers default to depth 2 and
+must be constructed with ``max_order=3`` explicitly, so torsion-derivative
 operations fail fast instead of silently running on noisy data.
 """
 from __future__ import annotations
@@ -88,122 +94,77 @@ def rho_one_plus_sq() -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# derivative backends
-# ---------------------------------------------------------------------------
-
-class AnalyticDerivatives:
-    """Caller-supplied closures for the metric and its derivatives."""
-
-    name = "analytic"
-
-    def __init__(self, matrix_fn, d1_fn=None, d2_fn=None, max_order=None):
-        self.matrix_fn = matrix_fn
-        self.d1_fn = d1_fn
-        self.d2_fn = d2_fn
-        if max_order is None:
-            if d1_fn is None:
-                max_order = 0
-            elif d2_fn is None:
-                max_order = 1
-            else:
-                max_order = 3
-        self.max_order = max_order
-
-    def matrix(self, z):
-        return np.asarray(self.matrix_fn(z), dtype=complex)
-
-    def d1(self, z):
-        if self.d1_fn is None:
-            raise DerivativeOrderError("analytic backend has no first derivatives")
-        return np.asarray(self.d1_fn(z), dtype=complex)
-
-    def d2(self, z):
-        if self.d2_fn is None:
-            raise DerivativeOrderError("analytic backend has no second derivatives")
-        return np.asarray(self.d2_fn(z), dtype=complex)
-
-
-class FiniteDifferenceDerivatives:
-    """Central differences of configurable order (2 or 4) and step."""
-
-    name = "finite-difference"
-
-    def __init__(self, matrix_fn, order=4, step=1e-3, max_order=2):
-        if order not in (2, 4):
-            raise ValueError("FD order must be 2 or 4")
-        self.matrix_fn = matrix_fn
-        self.order = order
-        self.step = step
-        self.max_order = max_order
-
-    def matrix(self, z):
-        return np.asarray(self.matrix_fn(z), dtype=complex)
-
-    def d1(self, z):
-        return fd.holomorphic_derivative(self.matrix_fn, z, self.step, self.order)
-
-    def d2(self, z):
-        return fd.mixed_second_derivative(self.matrix_fn, z, self.step, self.order)
-
-
-# ---------------------------------------------------------------------------
 # provider
 # ---------------------------------------------------------------------------
 
 class MetricProvider:
-    def __init__(self, chart: ChartDomain, backend, label: str):
+    """A metric on a chart: the closures for g, d1 g and d2 g, the declared
+    derivative depth, and the chart's domain check on every public call.
+
+    ``max_order`` defaults to 0, 1 or 3 as ``d1`` and ``d2`` are given.
+    """
+
+    def __init__(self, chart: ChartDomain, label: str, matrix: Callable,
+                 d1: Optional[Callable] = None, d2: Optional[Callable] = None,
+                 max_order: Optional[int] = None):
         self.chart = chart
-        self.backend = backend
         self.label = label
+        self.matrix_fn = matrix
+        self.d1_fn = d1
+        self.d2_fn = d2
+        if max_order is None:
+            max_order = 0 if d1 is None else 1 if d2 is None else 3
+        self.max_order = max_order
 
     @property
     def n(self) -> int:
         return self.chart.n
 
-    @property
-    def max_order(self) -> int:
-        return self.backend.max_order
-
     def require_order(self, k: int, what: str = "operation"):
-        if self.backend.max_order < k:
+        if self.max_order < k:
             raise DerivativeOrderError(
-                f"{what} needs derivative depth {k}, backend "
-                f"{self.backend.name!r} declares {self.backend.max_order}"
+                f"{what} needs derivative depth {k}, metric "
+                f"{self.label!r} declares {self.max_order}"
             )
 
-    def matrix(self, z) -> np.ndarray:
+    def _point(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         if not self.chart.contains(z):
             raise DomainError(f"{z} outside chart of {self.label!r}")
-        g = self.backend.matrix(z)
-        return g
+        return z
+
+    def matrix(self, z) -> np.ndarray:
+        return np.asarray(self.matrix_fn(self._point(z)), dtype=complex)
 
     def d1(self, z) -> np.ndarray:
         self.require_order(1, "first derivatives")
-        return self.backend.d1(np.asarray(z, dtype=complex))
+        return np.asarray(self.d1_fn(self._point(z)), dtype=complex)
 
     def d2(self, z) -> np.ndarray:
         self.require_order(2, "second derivatives")
-        return self.backend.d2(np.asarray(z, dtype=complex))
+        return np.asarray(self.d2_fn(self._point(z)), dtype=complex)
 
     def inverse_up(self, z) -> np.ndarray:
         """Gu[i, j] = g^{i jbar}, guarding against degeneracy."""
         return inverse_up(self.matrix(z), z)
 
-    def min_eigenvalue(self, z) -> float:
-        return float(np.linalg.eigvalsh(self.matrix(z)).min())
-
     def __repr__(self):
-        return f"MetricProvider({self.label!r}, n={self.n}, backend={self.backend.name})"
+        return (f"MetricProvider({self.label!r}, n={self.n}, "
+                f"max_order={self.max_order})")
 
 
 def with_fd_backend(provider: MetricProvider, order=4, step=1e-3,
                     max_order=2) -> MetricProvider:
-    """Same metric, derivatives by finite differences (for convergence studies)."""
-    be = FiniteDifferenceDerivatives(provider.backend.matrix, order=order,
-                                     step=step, max_order=max_order)
-    return MetricProvider(provider.chart, be,
-                          f"{provider.label}|fd{order}@{step:g}")
+    """Same metric, derivatives by central finite differences of order 2 or
+    4 (for convergence studies)."""
+    if order not in (2, 4):
+        raise ValueError("FD order must be 2 or 4")
+    mat = provider.matrix_fn
+    return MetricProvider(
+        provider.chart, f"{provider.label}|fd{order}@{step:g}", mat,
+        lambda z: fd.holomorphic_derivative(mat, z, step, order),
+        lambda z: fd.mixed_second_derivative(mat, z, step, order),
+        max_order=max_order)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +172,12 @@ def with_fd_backend(provider: MetricProvider, order=4, step=1e-3,
 # ---------------------------------------------------------------------------
 
 def euclidean(n=1, chart: Optional[ChartDomain] = None) -> MetricProvider:
-    chart = chart or ChartDomain(n, "radial-plane", 64)
+    chart = chart or ChartDomain(n, "radial-plane")
     eye = np.eye(n, dtype=complex)
     z0 = np.zeros((n, n, n), dtype=complex)
     z1 = np.zeros((n, n, n, n), dtype=complex)
-    be = AnalyticDerivatives(lambda z: eye, lambda z: z0, lambda z: z1)
-    return MetricProvider(chart, be, "euclidean")
+    return MetricProvider(chart, "euclidean", lambda z: eye, lambda z: z0,
+                          lambda z: z1)
 
 
 def poincare_disk(factor=1.0, chart: Optional[ChartDomain] = None,
@@ -226,7 +187,7 @@ def poincare_disk(factor=1.0, chart: Optional[ChartDomain] = None,
     factor=1 is the flow's usual initial metric; factor=2 is the
     Kahler-Einstein fixed point of the normalized flow (Ric = -g).
     """
-    chart = chart or ChartDomain(1, "radial-disk", 64)
+    chart = chart or ChartDomain(1, "radial-disk")
     c = float(factor)
 
     def mat(z):
@@ -244,9 +205,8 @@ def poincare_disk(factor=1.0, chart: Optional[ChartDomain] = None,
         val = 2.0 * c / u**3 + 6.0 * c * abs(zz) ** 2 / u**4
         return np.array([[[[val]]]], dtype=complex)
 
-    be = AnalyticDerivatives(mat, d1, d2)
     name = label or ("poincare-disk" if c == 1.0 else f"poincare-disk:{c:g}")
-    return MetricProvider(chart, be, name)
+    return MetricProvider(chart, name, mat, d1, d2)
 
 
 def bergman_ball(n=2, chart: Optional[ChartDomain] = None) -> MetricProvider:
@@ -258,7 +218,7 @@ def bergman_ball(n=2, chart: Optional[ChartDomain] = None) -> MetricProvider:
                     + 2 zbar_a zbar_i z_j/(1-rho)^3
       d_a dbar_b g as below, rho = |z|^2.
     """
-    chart = chart or ChartDomain(n, "radial-disk", 64)
+    chart = chart or ChartDomain(n, "radial-disk")
     eye = np.eye(n)
 
     def mat(z):
@@ -290,13 +250,12 @@ def bergman_ball(n=2, chart: Optional[ChartDomain] = None) -> MetricProvider:
                + 6.0 * np.einsum('a,i,j,b->abij', zb, zb, z, z) * e4)
         return out
 
-    be = AnalyticDerivatives(mat, d1, d2)
-    return MetricProvider(chart, be, f"bergman-ball-n{n}")
+    return MetricProvider(chart, f"bergman-ball-n{n}", mat, d1, d2)
 
 
 def torsion_example(chart: Optional[ChartDomain] = None) -> MetricProvider:
     """Non-Kahler metric on C^2: g_{1 1bar} = 1, g_{2 2bar} = 1 + |z_1|^2."""
-    chart = chart or ChartDomain(2, "radial-plane", 64)
+    chart = chart or ChartDomain(2, "radial-plane")
 
     def mat(z):
         return np.array([[1.0, 0.0], [0.0, 1.0 + abs(z[0]) ** 2]], dtype=complex)
@@ -311,53 +270,48 @@ def torsion_example(chart: Optional[ChartDomain] = None) -> MetricProvider:
         out[0, 0, 1, 1] = 1.0
         return out
 
-    be = AnalyticDerivatives(mat, d1, d2)
-    return MetricProvider(chart, be, "torsion-example-1")
+    return MetricProvider(chart, "torsion-example-1", mat, d1, d2)
 
 
 def scaled(provider: MetricProvider, c: float) -> MetricProvider:
     """c * g with derivatives scaled alike."""
     if c <= 0:
         raise ValueError("scale must be positive")
-    be = provider.backend
-    new = AnalyticDerivatives(
-        lambda z: c * be.matrix(z),
-        lambda z: c * be.d1(z),
-        lambda z: c * be.d2(z),
-        max_order=be.max_order,
-    )
-    return MetricProvider(provider.chart, new, f"scaled:{c:g}:{provider.label}")
+    m, d1, d2 = provider.matrix_fn, provider.d1_fn, provider.d2_fn
+    return MetricProvider(provider.chart, f"scaled:{c:g}:{provider.label}",
+                          lambda z: c * m(z), lambda z: c * d1(z),
+                          lambda z: c * d2(z), max_order=provider.max_order)
 
 
 def conformal_metric(provider: MetricProvider, factor: ScalarField,
                      label=None) -> MetricProvider:
     """e^{2F} g with derivative closures assembled by the product/chain rule."""
-    base = provider.backend
+    gm, gd1, gd2 = provider.matrix_fn, provider.d1_fn, provider.d2_fn
 
     def mat(z):
-        return np.exp(2.0 * factor.value(z)) * base.matrix(z)
+        return np.exp(2.0 * factor.value(z)) * gm(z)
 
     def d1(z):
         e = np.exp(2.0 * factor.value(z))
         Fd = factor.grad(z)
-        return e * (2.0 * np.einsum('a,ij->aij', Fd, base.matrix(z)) + base.d1(z))
+        return e * (2.0 * np.einsum('a,ij->aij', Fd, gm(z)) + gd1(z))
 
     def d2(z):
         e = np.exp(2.0 * factor.value(z))
         Fd = factor.grad(z)
         Fb = np.conj(Fd)
         Fdd = factor.hess(z)
-        g = base.matrix(z)
-        D1 = base.d1(z)
+        g = gm(z)
+        D1 = gd1(z)
         dbar_g = np.conj(D1).transpose(0, 2, 1)  # dbar_b g_{i jbar}
         return e * (np.einsum('ab,ij->abij', 2.0 * Fdd + 4.0 * np.einsum('a,b->ab', Fd, Fb), g)
                     + 2.0 * np.einsum('a,bij->abij', Fd, dbar_g)
                     + 2.0 * np.einsum('b,aij->abij', Fb, D1)
-                    + base.d2(z))
+                    + gd2(z))
 
-    be = AnalyticDerivatives(mat, d1, d2, max_order=base.max_order)
-    return MetricProvider(provider.chart, be,
-                          label or f"conformal:{provider.label}:{factor.label}")
+    return MetricProvider(provider.chart,
+                          label or f"conformal:{provider.label}:{factor.label}",
+                          mat, d1, d2, max_order=provider.max_order)
 
 
 def mobius_pullback(provider: MetricProvider, a: complex) -> MetricProvider:
@@ -369,7 +323,7 @@ def mobius_pullback(provider: MetricProvider, a: complex) -> MetricProvider:
         raise ValueError("mobius pullback implemented for n = 1")
     a = complex(a)
     ab = np.conj(a)
-    base = provider.backend
+    gm, gd1, gd2 = provider.matrix_fn, provider.d1_fn, provider.d2_fn
 
     def phi(z):
         return (z - a) / (1.0 - ab * z)
@@ -383,12 +337,12 @@ def mobius_pullback(provider: MetricProvider, a: complex) -> MetricProvider:
     def mat(z):
         w = phi(z[0])
         p = dphi(z[0])
-        return base.matrix(np.array([w])) * (p * np.conj(p))
+        return gm(np.array([w])) * (p * np.conj(p))
 
     def d1(z):
         w, p, pp = phi(z[0]), dphi(z[0]), d2phi(z[0])
-        g = base.matrix(np.array([w]))[0, 0]
-        gz = base.d1(np.array([w]))[0, 0, 0]
+        g = gm(np.array([w]))[0, 0]
+        gz = gd1(np.array([w]))[0, 0, 0]
         # d_z [ g(phi) phi' conj(phi') ] ; conj(phi') is anti-holomorphic in z
         val = gz * p * p * np.conj(p) + g * pp * np.conj(p)
         return np.array([[[val]]], dtype=complex)
@@ -396,10 +350,10 @@ def mobius_pullback(provider: MetricProvider, a: complex) -> MetricProvider:
     def d2(z):
         w, p, pp = phi(z[0]), dphi(z[0]), d2phi(z[0])
         pt = np.array([w])
-        g = base.matrix(pt)[0, 0]
-        gz = base.d1(pt)[0, 0, 0]
+        g = gm(pt)[0, 0]
+        gz = gd1(pt)[0, 0, 0]
         gzb = np.conj(gz)
-        gzzb = base.d2(pt)[0, 0, 0, 0]
+        gzzb = gd2(pt)[0, 0, 0, 0]
         # dbar_z of d1: dbar acts on g-args via conj(phi) and on conj(phi') factors
         val = (gzzb * p * np.conj(p) * p * np.conj(p)
                + gz * p * p * np.conj(pp)
@@ -407,9 +361,8 @@ def mobius_pullback(provider: MetricProvider, a: complex) -> MetricProvider:
                + g * pp * np.conj(pp))
         return np.array([[[[val]]]], dtype=complex)
 
-    be = AnalyticDerivatives(mat, d1, d2, max_order=base.max_order)
-    return MetricProvider(provider.chart, be,
-                          f"mobius:{a:g}:{provider.label}")
+    return MetricProvider(provider.chart, f"mobius:{a:g}:{provider.label}",
+                          mat, d1, d2, max_order=provider.max_order)
 
 
 # ---------------------------------------------------------------------------
@@ -466,22 +419,3 @@ def resolve_metric(key: str) -> MetricProvider:
 def list_metrics():
     return dict(CATALOG_DOC)
 
-
-# ---------------------------------------------------------------------------
-# tensor export
-# ---------------------------------------------------------------------------
-
-def tensor_records(point, tensor):
-    """Flatten a tensor at a point into JSON-ready records."""
-    point = np.asarray(point, dtype=complex)
-    arr = np.asarray(tensor, dtype=complex)
-    recs = []
-    for idx in np.ndindex(arr.shape):
-        v = arr[idx]
-        recs.append({
-            "point": [[float(p.real), float(p.imag)] for p in point],
-            "component-index": list(int(i) for i in idx),
-            "re": float(v.real),
-            "im": float(v.imag),
-        })
-    return recs

@@ -139,6 +139,18 @@ def load_config(source) -> dict:
             errs.append("radial flow needs t_max > 0")
         if kind != "radial" and not fl.get("s_max"):
             errs.append(f"{kind} needs s_max > 0")
+    if chart.get("complex_dimension", 1) != 1:
+        errs.append("chart.complex_dimension must be 1: every flow is n = 1")
+    topology = chart.get("topology")
+    if kind in KINDS and topology is not None:
+        want = "periodic-box" if kind == "torus" else "radial-disk"
+        if topology != want:
+            errs.append(f"{kind} needs chart.topology {want!r}, "
+                        f"got {topology!r}")
+    safety = fl.get("safety")
+    if not (isinstance(safety, (int, float)) and 0 < safety <= 1):
+        errs.append("flow.safety must lie in (0, 1]: cfl_bound caps larger "
+                    "values at h^2 min lambda")
     if fl.get("boundary") not in BOUNDARIES:
         errs.append(f"flow.boundary must be one of {BOUNDARIES}")
     if fl.get("initial") not in INITIALS:

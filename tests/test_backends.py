@@ -53,7 +53,7 @@ def test_fd_max_order_fail_fast():
 
 def test_degenerate_metric_error():
     g = M.scaled(M.euclidean(2), 1.0)
-    g.backend.matrix_fn = lambda z: np.diag([1.0, 1e-15]).astype(complex)
+    g.matrix_fn = lambda z: np.diag([1.0, 1e-15]).astype(complex)
     with pytest.raises(DegenerateMetricError):
         g.inverse_up(np.zeros(2, dtype=complex))
 
@@ -62,21 +62,13 @@ def test_point_outside_chart():
     g = M.poincare_disk()
     with pytest.raises(DomainError):
         g.matrix(np.array([1.2 + 0j]))
+    with pytest.raises(DomainError):
+        g.d1([1.2])
+    with pytest.raises(DomainError):
+        g.d2([1.2])
 
 
 def test_catalog_unknown_key():
     with pytest.raises(KeyError):
         M.resolve_metric("no-such-metric")
 
-
-def test_tensor_records_roundtrip():
-    g = M.torsion_example()
-    z = np.array([0.3 + 0.1j, -0.2 + 0.4j])
-    recs = M.tensor_records(z, g.matrix(z))
-    assert len(recs) == 4
-    assert all(set(r) == {"point", "component-index", "re", "im"} for r in recs)
-    G = g.matrix(z)
-    for r in recs:
-        i, j = r["component-index"]
-        assert r["re"] == pytest.approx(G[i, j].real)
-        assert r["im"] == pytest.approx(G[i, j].imag)

@@ -7,38 +7,37 @@ from crflow.errors import DomainError
 
 def test_validation():
     with pytest.raises(ValueError):
-        ChartDomain(0, "radial-disk", 64)
+        ChartDomain(0, "radial-disk")
     with pytest.raises(ValueError):
-        ChartDomain(1, "klein-bottle", 64)
+        ChartDomain(1, "klein-bottle")
     with pytest.raises(ValueError):
-        ChartDomain(1, "radial-disk", 4)  # resolution >= 8
+        ChartDomain(1, "radial-disk", ((0.0, 1.2),))  # range inside [0,1)
     with pytest.raises(ValueError):
-        ChartDomain(1, "radial-disk", 64, ((0.0, 1.2),))  # range inside [0,1)
-    with pytest.raises(ValueError):
-        ChartDomain(1, "periodic-box", 64, ((0.0, 0.0), (0.0, 1.0)))
+        ChartDomain(1, "periodic-box", ((0.0, 0.0), (0.0, 1.0)))
 
 
 def test_contains_and_require():
-    disk = ChartDomain(1, "radial-disk", 64)
+    disk = ChartDomain(1, "radial-disk")
     assert disk.contains(np.array([0.5 + 0.3j]))
     assert not disk.contains(np.array([1.0 + 0.2j]))
     with pytest.raises(DomainError):
         disk.require(np.array([2.0 + 0j]))
-    box = ChartDomain(1, "periodic-box", 16)
+    box = ChartDomain(1, "periodic-box")
     assert box.contains(np.array([5.7 - 3.2j]))  # identified modulo the box
-    plane = ChartDomain(2, "radial-plane", 16)
+    plane = ChartDomain(2, "radial-plane")
     assert plane.contains(np.array([3.0 + 0j, 4.0 + 0j]))
 
 
-def test_grids():
-    disk = ChartDomain(1, "radial-disk", 32, ((0.0, 0.8),))
-    r = disk.radial_nodes()
-    assert len(r) == 32
-    assert r[0] > 0.0 and r[-1] < 0.8          # cell-centered, no origin node
-    assert np.allclose(np.diff(r), r[1] - r[0])
-    box = ChartDomain(1, "periodic-box", 8, ((0.0, 2.0), (0.0, 2.0)))
-    axes = box.box_axes()
-    assert len(axes) == 2 and len(axes[0]) == 8
-    assert axes[0][-1] < 2.0                    # endpoint excluded (wraps)
-    with pytest.raises(ValueError):
-        disk.box_axes()
+def test_contains_honours_coordinate_bounds():
+    """Radial charts contain exactly lo <= |z| < hi."""
+    ring = ChartDomain(1, "radial-disk", ((0.2, 0.5),))
+    assert ring.contains(np.array([0.2 + 0j]))
+    assert ring.contains(np.array([0.3 + 0.3j]))
+    assert not ring.contains(np.array([0.1j]))
+    assert not ring.contains(np.array([0.5 + 0j]))
+    assert not ring.contains(np.array([0.9 + 0j]))
+    plane = ChartDomain(2, "radial-plane", ((0.0, 10.0),))
+    assert plane.contains(np.array([3.0 + 0j, 4.0 + 0j]))
+    assert not plane.contains(np.array([6.0 + 0j, 8.0 + 0j]))
+    with pytest.raises(DomainError):
+        plane.require(np.array([20.0 + 0j, 0j]))

@@ -235,15 +235,3 @@ def test_completion_factor_domain_error():
     with pytest.raises(DomainError):
         spec.factor().value(np.array([1.3 + 0j, 0.6 + 0j]))  # rho >= rho_i
 
-
-def test_export_cutoff_csv(tmp_path):
-    from crflow.artifacts import export_cutoff_csv
-    spec = CO.CutoffSpec(tau=0.1)
-    F = CO.FrakF(spec)
-    s = np.linspace(0.0, 0.99, 50)
-    path = tmp_path / "cutoff.csv"
-    export_cutoff_csv(str(path), s, CO.f_eval(s, 0.1), CO.phi_eval(s, spec),
-                      F.value(s), [F.derivative(float(x), 1) for x in s])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "s,f,phi,frakF,frakF_prime"
-    assert len(lines) == 51

@@ -59,6 +59,23 @@ def test_config_rejects_unknown_keys():
                                    "unknown key 'frobnicate'"]
 
 
+@pytest.mark.parametrize("section,key,value,needle", [
+    ("flow", "safety", 1.4, "flow.safety"),
+    ("flow", "safety", 0.0, "flow.safety"),
+    ("chart", "complex_dimension", 2, "chart.complex_dimension"),
+    ("chart", "topology", "radial-disk", "chart.topology"),
+])
+def test_config_rejects_values_no_run_honours(section, key, value, needle):
+    """A value the integrator would cap or ignore is a ConfigError, not an
+    echo in report.json."""
+    bad = json.loads(json.dumps(FAST_TORUS))
+    bad[section][key] = value
+    with pytest.raises(ConfigError) as ei:
+        SC.load_config(bad)
+    assert len(ei.value.violations) == 1
+    assert needle in ei.value.violations[0]
+
+
 def test_bundled_scenarios_load():
     with open(SC.bundled_manifest()) as f:
         names = json.load(f)["scenarios"]
