@@ -402,9 +402,7 @@ def trace_identity_on_run(run: RadialRun, h_kind="euclidean",
         lapL = run.grid.ddbar(L0) / f0.lam
         # |Psi|^2 = (dlog_h - dlog_lam)^2 / 4 for radial profiles
         u = np.log(f0.lam)
-        dlog_lam = run.grid.d1(u, None if run.boundary is None else
-                               np.log(run.boundary(run.grid.outer_ghost_radii(),
-                                                   f0.time)))
+        dlog_lam = run.grid.d1(u, run.log_ghosts_at(f0.time))
         psi_sq = (dlog_h - dlog_lam) ** 2 / 4.0
         term_I = -(lam_h / f0.lam**2) * psi_sq
         term_III = Rhat1111 / f0.lam**2

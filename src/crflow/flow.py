@@ -65,10 +65,11 @@ def _march(y, t_end, advance, check, frame_dt, frame):
     A candidate that fails is retried with the step cut by 4, so a breakdown
     is placed to within 1e-8 (1 + t) of its time whatever the step size: the
     failure of a step below that is the breakdown.  `frame(step, t, y)` runs
-    at t = 0, every `frame_dt` and at t_end.  Returns (y, steps, t, error) at
-    the last accepted state; error is the breakdown that stopped the run.
+    at t = 0, every `frame_dt`, at t_end, and at a broken run's last accepted
+    state if that is no frame yet.  Returns (y, steps, t, error) at the last
+    accepted state; error is the breakdown that stopped the run.
     """
-    t, step, next_frame = 0.0, 0, 0.0
+    t, step, next_frame, framed = 0.0, 0, 0.0, 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
             check(t, y)
@@ -76,6 +77,7 @@ def _march(y, t_end, advance, check, frame_dt, frame):
                 if frame is not None and (t >= next_frame - 1e-14
                                           or t >= t_end - 1e-14):
                     frame(step, t, y)
+                    framed = step
                     next_frame += frame_dt
                 if t >= t_end - 1e-14:
                     break
@@ -92,6 +94,8 @@ def _march(y, t_end, advance, check, frame_dt, frame):
                         limit = dt / 4
                 y, t, step = new, t + dt, step + 1
         except FlowBreakdownError as e:
+            if frame is not None and step > framed:
+                frame(step, t, y)
             return y, step, t, e
     return y, step, t, None
 
@@ -226,6 +230,11 @@ def ddbar_periodic(u, h):
     return 0.25 * laplacian_9pt(u, h)
 
 
+def scalar_curvature_periodic(lam, h):
+    """Chern scalar R = -ddbar(log lam)/lam on the periodic grid."""
+    return -ddbar_periodic(np.log(lam), h) / lam
+
+
 def ddbar_periodic_4th(u, h):
     """4th-order periodic ddbar; the independent measuring stick for
     residuals of runs advanced with the 2nd-order stencil."""
@@ -272,8 +281,7 @@ def cfl_bound(min_eig: float, ric_scale: float, grid_step: float,
 
 def cfl_for_state(state: FlowState, safety: float = 0.2) -> float:
     lam = state.omega_t
-    ric = -ddbar_periodic(np.log(lam), state.h)
-    ric_scale = float(np.max(np.abs(ric / lam)))
+    ric_scale = float(np.max(np.abs(scalar_curvature_periodic(lam, state.h))))
     return cfl_bound(float(lam.min()), ric_scale, state.h, safety)
 
 
@@ -286,8 +294,12 @@ def run_torus_flow(lam0, box_length, t_end, *, mode="metric", safety=0.2,
     reconstructs lam.  Frames are (t, lam, psi) triples captured at uniform
     `frame_dt` targets (default t_end/20); steps are clipped so frames land
     exactly on target, and the CFL step is recomputed every step.  Raises
-    FlowBreakdownError when lam falls to 1e-12 or turns non-finite.
+    FlowBreakdownError when lam falls to 1e-12 or turns non-finite, and
+    ValueError for any other mode.
     """
+    if mode not in ("metric", "potential"):
+        raise ValueError(f"torus flow mode must be 'metric' or 'potential', "
+                         f"got {mode!r}")
     lam0 = np.asarray(lam0, dtype=float)
     if lam0.ndim != 2 or lam0.shape[0] != lam0.shape[1]:
         raise ValueError("torus flow needs square n=1 grid data (N, N)")

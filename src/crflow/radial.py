@@ -68,6 +68,12 @@ def ke_lambda(r):
     return poincare_lambda(r, 2.0)
 
 
+def fubini_cap_lambda(r, t=0.0):
+    """The shrinking Fubini-Study cap (1 - 2t)(1 + r^2)^-2: Ric = 2 g at
+    t = 0, so the flow is exact and ends at t = 1/2."""
+    return (1.0 - 2.0 * t) / (1.0 + np.asarray(r) ** 2) ** 2
+
+
 def homothety_psi(t, n=1):
     """Potential of the ball's homothety from the Bergman potential
     -log(1 - |z|^2) in complex dimension n: psi(0) = 0 and
@@ -211,12 +217,6 @@ def _ghosts_for(field_fn, grid, t):
     return field_fn(grid.outer_ghost_radii(), t)
 
 
-def _log_field(boundary):
-    if boundary is None:
-        return None
-    return lambda r, t: np.log(boundary(r, t))
-
-
 def _once_per_time(field_fn):
     """`field_fn(r, t)` at one grid's ghost radii, evaluated once per distinct
     t: two of RK4's stages share t + dt/2, and t + dt is the next step's t."""
@@ -268,19 +268,25 @@ class RadialRun:
     boundary: Optional[Callable] = None       # lam(r, t) ghost field of the run
     steps_taken: int = 0
 
-    def frame_times(self):
-        return np.array([f.time for f in self.frames])
+    def __post_init__(self):
+        # the one log-ghost field that the stepper and every consumer read;
+        # it closes over the boundary, not the run, so a run is no reference
+        # cycle and is freed as soon as it is dropped
+        b = self.boundary
+        self.log_ghosts = None if b is None else _once_per_time(
+            lambda r, t: np.log(b(r, t)))
 
-    def _blog(self):
-        return _log_field(self.boundary)
+    def log_ghosts_at(self, t):
+        """log-lam ghost values at time t; None extrapolates."""
+        return _ghosts_for(self.log_ghosts, self.grid, t)
 
     def ke_residual(self, fr: Frame) -> float:
         """sup |Ric(g) + g|_g with the run's own discrete operator and ghosts."""
-        resid = radial_rhs(self.grid, fr.lam, fr.time, self._blog(), True)
+        resid = radial_rhs(self.grid, fr.lam, fr.time, self.log_ghosts, True)
         return float(np.max(np.abs(resid / fr.lam)))
 
     def scalar_field(self, fr: Frame):
-        return scalar_curvature(self.grid, fr.lam, fr.time, self._blog())
+        return scalar_curvature(self.grid, fr.lam, fr.time, self.log_ghosts)
 
     def diagnostics_rows(self):
         """Per-frame monitor row: the run CSV contract."""
@@ -319,19 +325,17 @@ def run_radial_flow(lam0, r_max, t_end, *, nodes=256, boundary=None,
     With ghosts given, the run steps through `flow.sdirk4` on a banded LU.
     Extrapolated ghosts keep `flow.rk4`, with the CFL step, scaled by
     `safety`, recomputed every 16 steps; `safety` only affects that path.
-    On breakdown the last frame is the last accepted state.
     """
     grid = RadialGrid(r_max, nodes, order)
     lam00 = lam0(grid.r) if callable(lam0) else np.asarray(lam0, float).copy()
     run = RadialRun(grid=grid, normalized=False, h_reference=h_reference,
                     boundary=boundary)
-    blog = _once_per_time(_log_field(boundary))
 
     def rhs(tt, v, out):
-        out[:] = radial_rhs(grid, v, tt, blog, False)
+        out[:] = radial_rhs(grid, v, tt, run.log_ghosts, False)
 
     def cfl(tt, v):
-        R = scalar_curvature(grid, v, tt, blog)
+        R = scalar_curvature(grid, v, tt, run.log_ghosts)
         ric_scale = max(1.0, float(np.max(np.abs(R))))
         return cfl_bound(float(v.min()), ric_scale, grid.h, safety)
 
@@ -343,16 +347,15 @@ def run_radial_flow(lam0, r_max, t_end, *, nodes=256, boundary=None,
 
     frame_dt = frame_dt or t_end / 50.0
     if boundary is None:
-        y, run.steps_taken, t, err = rk4(lam00, t_end, rhs, cfl, check,
+        _, run.steps_taken, _, err = rk4(lam00, t_end, rhs, cfl, check,
                                          cfl_every=16, frame_dt=frame_dt,
                                          frame=frame)
     else:
-        y, run.steps_taken, t, err = sdirk4(
+        _, run.steps_taken, _, err = sdirk4(
             lam00, t_end, rhs, lambda tt, v, hg: grid.band_solver(v, hg, 0.0),
             check, frame_dt=frame_dt, frame=frame)
     if err is not None:
         run.broken, run.breakdown = True, str(err)
-        run.frames.append(Frame(run.steps_taken, t, y.copy()))
     return run
 
 
@@ -378,10 +381,9 @@ def run_normalized_radial(lam0, r_max, s_end, *, nodes=128, boundary=None,
     y[0] = lam_init
     run = RadialRun(grid=grid, normalized=True, h_reference=h_reference,
                     boundary=boundary)
-    blog = _once_per_time(_log_field(boundary))
 
     def rhs(ss, v, out):
-        out[0] = radial_rhs(grid, v[0], ss, blog, True)
+        out[0] = radial_rhs(grid, v[0], ss, run.log_ghosts, True)
         np.log(np.divide(v[0], lam_init, out=out[1]), out=out[1])
         out[1] -= v[1]
 
@@ -432,8 +434,8 @@ def run_radial_potential_flow(lam0, r_max, t_end, *, nodes=256, boundary_psi=Non
     """
     grid = RadialGrid(r_max, nodes, order)
     lam00 = lam0(grid.r) if callable(lam0) else np.asarray(lam0, float).copy()
-    ric0 = -grid.ddbar(np.log(lam00),
-                       _ghosts_for(_log_field(boundary_lam), grid, 0.0))
+    ric0 = -grid.ddbar(np.log(lam00), None if boundary_lam is None else
+                       np.log(boundary_lam(grid.outer_ghost_radii(), 0.0)))
     psi_ghosts = _once_per_time(boundary_psi)
 
     def reconstruct(p, tt):
@@ -481,7 +483,7 @@ def normalize(run: RadialRun, s: float) -> NormalizedFlowState:
     if run.normalized:
         raise ValueError("run is already normalized")
     t_target = float(np.exp(s))
-    times = run.frame_times()
+    times = np.array([f.time for f in run.frames])
     if times[-1] < t_target - 1e-12 or times[-1] < 1.0 - 1e-12:
         raise ValueError(f"normalize needs frames up to t = e^s = {t_target:.6g}; "
                          f"run reaches t = {times[-1]:.6g}")
@@ -504,9 +506,8 @@ def normalize(run: RadialRun, s: float) -> NormalizedFlowState:
 
     g_tilde = np.exp(-s) * lam_at(t_target)
     phi_prime = np.log(g_tilde / lam1) - phi
-    blog = None
-    if run.boundary is not None:
-        blog = lambda r, ss: np.log(np.exp(-s) * run.boundary(r, t_target))
-    resid = radial_rhs(run.grid, g_tilde, s, blog, True)
+    ghosts = run.log_ghosts_at(t_target)      # log g~ = log lam - s
+    resid = run.grid.ddbar(np.log(g_tilde),
+                           None if ghosts is None else ghosts - s) - g_tilde
     ke = float(np.max(np.abs(resid / g_tilde)))
     return NormalizedFlowState(s, g_tilde, phi, phi_prime, ke)

@@ -17,13 +17,31 @@ import numpy as np
 
 from . import artifacts, estimates, radial as RD
 from .errors import ConfigError, FlowBreakdownError, ManifestError
-from .flow import ddbar_periodic, run_torus_flow
+from .flow import run_torus_flow, scalar_curvature_periodic
 from .metrics import resolve_metric
 
 KINDS = ("radial", "two-phase-normalized", "radial-normalized", "torus")
 
-INITIALS = ("poincare", "perturbed-poincare", "hyperbolic-ke", "flat", "bumpy",
-            "fubini-cap")
+# flow.initial -> datum, the one place a datum is defined, a being
+# flow.perturbation_amplitude.  Radial: (lam0(r, a), its exact unnormalized
+# flow lam(r, t), the least r_max at which that flow gives exact ghosts: the
+# perturbed datum's is Poincare's, off its bump, which ends at r = 0.8).
+# Torus: lam0(X, Y, L, a) on the box grid.
+RADIAL_DATA = {
+    "poincare": (lambda r, a: RD.poincare_lambda(r), RD.homothety_lambda, 0.0),
+    "perturbed-poincare": (RD.perturbed_poincare_lambda, RD.homothety_lambda,
+                           0.8),
+    "hyperbolic-ke": (lambda r, a: RD.ke_lambda(r),
+                      lambda r, t: RD.homothety_lambda(r, t + 0.5), 0.0),
+    "fubini-cap": (lambda r, a: RD.fubini_cap_lambda(r), RD.fubini_cap_lambda,
+                   0.0),
+    "flat": (lambda r, a: np.ones_like(r), lambda r, t: np.ones_like(r), 0.0),
+}
+TORUS_DATA = {
+    "flat": lambda X, Y, L, a: np.ones_like(X),
+    "bumpy": lambda X, Y, L, a: np.exp(a * np.cos(2 * np.pi * X / L)
+                                       * np.cos(2 * np.pi * Y / L)),
+}
 
 BOUNDARIES = ("exact-homothety", "exact-ke", "extrapolate")
 
@@ -65,132 +83,137 @@ DEFAULTS = {
 }
 
 
-CHART_KEYS = ("complex_dimension", "topology", "grid_resolution", "r_max",
-              "box_length")
+# the chart fields, each with a value of its type (not merged, unlike DEFAULTS)
+CHART_KEYS = {"complex_dimension": 1, "topology": "radial-disk",
+              "grid_resolution": 8, "r_max": 0.5, "box_length": 1.0}
 
 
-def _unknown_keys(raw):
-    """One violation per key that no default, chart field or top-level
-    field names, e.g. a misspelt `flow.safety` that would silently run at
-    its default."""
-    sections = {k: v for k, v in DEFAULTS.items() if isinstance(v, dict)}
-    sections["chart"] = dict.fromkeys(CHART_KEYS)
-    known = {"scenario_name", "kind", "checks", "output", *sections, *DEFAULTS}
-    errs = []
-    for key, value in raw.items():
-        if key not in known:
-            errs.append(f"unknown key {key!r}")
-        elif key in sections and isinstance(value, dict):
-            errs.extend(f"unknown key '{key}.{k}'" for k in value
-                        if k not in sections[key])
-    return errs
+def _fits(value, default):
+    """Whether `value` has the type that its default declares: a string, a
+    list of strings, an integer, a number for a float, and a number or null
+    for None; a bool is not a number."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(isinstance(c, str)
+                                               for c in value)
+    if isinstance(default, str):
+        return isinstance(value, str)
+    if value is None or isinstance(value, bool):
+        return value is default
+    return isinstance(value, int if isinstance(default, int) else (int, float))
 
 
-def _merge(dst, src):
-    for k, v in src.items():
-        if isinstance(v, dict) and isinstance(dst.get(k), dict):
-            _merge(dst[k], v)
-        else:
-            dst[k] = v
-    return dst
+def _shape_errors(raw):
+    """(unknown, mistyped) violations: one per key that no default, chart
+    field or top-level field names (a misspelt `flow.safety` would run at its
+    default), one per section that is not an object or value unfit for its
+    default's type."""
+    top = {**DEFAULTS, "chart": CHART_KEYS, "scenario_name": "", "kind": "",
+           "output": "", "checks": []}
+    unknown, mistyped = [], []
+
+    def walk(section, fields, prefix):
+        for k, v in section.items():
+            path = f"{prefix}{k}"
+            if k not in fields:
+                unknown.append(f"unknown key {path!r}")
+            elif isinstance(fields[k], dict):
+                if isinstance(v, dict):
+                    walk(v, fields[k], path + ".")
+                else:
+                    mistyped.append(f"{path} must be an object, got {v!r}")
+            elif not _fits(v, fields[k]):
+                mistyped.append(f"{path} has the wrong type: {v!r} "
+                                f"(default {fields[k]!r})")
+    walk(raw, top, "")
+    return unknown, mistyped
 
 
 def load_config(source) -> dict:
     """Parse + validate a scenario config (path or dict); returns the merged
-    config with every default made explicit.  Raises ConfigError listing all
-    violations."""
+    config with every default made explicit.  Raises ConfigError, and
+    nothing else, listing all violations; a value of the wrong type stops it
+    before the values are checked."""
     if isinstance(source, str):
-        with open(source) as f:
-            raw = json.load(f)
+        try:
+            with open(source) as f:
+                raw = json.load(f)
+        except (OSError, ValueError) as e:
+            raise ConfigError([f"cannot read {source!r}: {e}"]) from None
     else:
         raw = copy.deepcopy(source)
+    if not isinstance(raw, dict):
+        raise ConfigError([f"config must be an object, got {raw!r}"])
+    errs, mistyped = _shape_errors(raw)
+    if mistyped:
+        raise ConfigError(errs + mistyped)
     cfg = copy.deepcopy(DEFAULTS)
-    _merge(cfg, raw)
+    for key, value in raw.items():      # an object is a section by now
+        cfg[key] = ({**cfg.get(key, {}), **value} if isinstance(value, dict)
+                    else value)
 
-    errs = _unknown_keys(raw)
-    name = cfg.get("scenario_name")
-    if not isinstance(name, str) or not name:
+    if not cfg.get("scenario_name"):
         errs.append("scenario_name missing or empty")
-    kind = cfg.get("kind")
+    kind, fl, chart = cfg.get("kind"), cfg["flow"], cfg.get("chart", {})
     if kind not in KINDS:
         errs.append(f"kind must be one of {KINDS}, got {kind!r}")
     for slot in ("g0", "h"):
-        key = cfg["metrics"].get(slot)
         try:
-            if key is not None:
-                resolve_metric(key)
-        except KeyError:
-            errs.append(f"metrics.{slot}: unknown catalog key {key!r}")
-    chart = cfg.get("chart", {})
-    res = chart.get("grid_resolution")
-    if not isinstance(res, int) or res < 8:
+            resolve_metric(cfg["metrics"][slot])
+        except (KeyError, ValueError):
+            errs.append(f"metrics.{slot}: unknown catalog key "
+                        f"{cfg['metrics'][slot]!r}")
+    if not chart.get("grid_resolution", 0) >= 8:
         errs.append("chart.grid_resolution must be an integer >= 8")
-    fl = cfg["flow"]
-    if kind == "torus":
-        if not chart.get("box_length"):
-            errs.append("torus chart needs box_length > 0")
-        if not fl.get("t_max"):
-            errs.append("torus flow needs t_max > 0")
-    elif kind in ("radial", "two-phase-normalized", "radial-normalized"):
-        rmax = chart.get("r_max")
-        if not (isinstance(rmax, (int, float)) and 0 < rmax < 1):
+    data = TORUS_DATA if kind == "torus" else RADIAL_DATA
+    if kind in KINDS and fl["initial"] not in data:
+        errs.append(f"flow.initial for {kind} must be one of {tuple(data)}, "
+                    f"got {fl['initial']!r}")
+    # the horizons a kind runs to; NaN fails, as a run to NaN never ends
+    horizons = {"two-phase-normalized": ("phase1_t", "s_max"),
+                "radial-normalized": ("s_max",)}.get(kind, ("t_max",))
+    errs.extend(f"{kind} needs flow.{key} > 0" for key in horizons
+                if kind in KINDS and not (fl[key] or 0) > 0)
+    if not (fl["frame_dt"] or 1) > 0:       # null and 0 take the default
+        errs.append("flow.frame_dt must be > 0 or null")
+    if kind == "torus" and not chart.get("box_length", 0) > 0:
+        errs.append("torus chart needs box_length > 0")
+    if kind in KINDS and kind != "torus":
+        rmax = chart.get("r_max", 0)
+        if not 0 < rmax < 1:
             errs.append("radial chart needs r_max in (0, 1)")
-        if kind == "radial" and not fl.get("t_max"):
-            errs.append("radial flow needs t_max > 0")
-        if kind != "radial" and not fl.get("s_max"):
-            errs.append(f"{kind} needs s_max > 0")
+        elif (fl["boundary"] == "exact-homothety" and fl["initial"] in data
+              and rmax < data[fl["initial"]][2]):
+            errs.append(f"exact-homothety ghosts of {fl['initial']} need "
+                        f"r_max >= {data[fl['initial']][2]}")
     if chart.get("complex_dimension", 1) != 1:
         errs.append("chart.complex_dimension must be 1: every flow is n = 1")
-    topology = chart.get("topology")
-    if kind in KINDS and topology is not None:
-        want = "periodic-box" if kind == "torus" else "radial-disk"
-        if topology != want:
-            errs.append(f"{kind} needs chart.topology {want!r}, "
-                        f"got {topology!r}")
-    safety = fl.get("safety")
-    if not (isinstance(safety, (int, float)) and 0 < safety <= 1):
+    want = "periodic-box" if kind == "torus" else "radial-disk"
+    if kind in KINDS and chart.get("topology", want) != want:
+        errs.append(f"{kind} needs chart.topology {want!r}, "
+                    f"got {chart['topology']!r}")
+    if not 0 < fl["safety"] <= 1:
         errs.append("flow.safety must lie in (0, 1]: cfl_bound caps larger "
                     "values at h^2 min lambda")
-    if fl.get("boundary") not in BOUNDARIES:
+    if fl["boundary"] not in BOUNDARIES:
         errs.append(f"flow.boundary must be one of {BOUNDARIES}")
-    if fl.get("initial") not in INITIALS:
-        errs.append(f"flow.initial must be one of {INITIALS}")
-    if fl.get("order") not in (4, 6):
+    if fl["order"] not in (4, 6):
         errs.append("flow.order must be 4 or 6")
-    for c in cfg.get("checks", []):
-        if c not in CHECKS:
-            errs.append(f"unknown check {c!r}")
-    horizon = fl.get("t_max") or fl.get("s_max")
-    if horizon is not None and horizon <= 0:
-        errs.append("horizon must be > 0")
+    errs.extend(f"unknown check {c!r}" for c in cfg.get("checks", [])
+                if c not in CHECKS)
     if errs:
         raise ConfigError(errs)
     return cfg
 
 
-def _initial_field(cfg):
+def _radial_datum(cfg):
+    """lam0(r) of a radial config's datum, and the field lam(r, t) its
+    ghosts take: the datum's exact flow, the KE profile, or None to
+    extrapolate."""
     fl = cfg["flow"]
-    amp = fl["perturbation_amplitude"]
-    return {
-        "poincare": lambda r: RD.poincare_lambda(r),
-        "hyperbolic-ke": RD.ke_lambda,
-        "perturbed-poincare": lambda r: RD.perturbed_poincare_lambda(r, amp),
-        "flat": lambda r: np.ones_like(r),
-        "bumpy": None,  # torus-only, built on the box grid
-        "fubini-cap": lambda r: 1.0 / (1.0 + r**2) ** 2,
-    }[fl["initial"]]
-
-
-def _boundary_field(cfg):
-    b = cfg["flow"]["boundary"]
-    if b == "extrapolate":
-        return None
-    if b == "exact-homothety":
-        if cfg["flow"]["initial"] == "fubini-cap":
-            # positively curved cap: the exact homothety shrinks
-            return lambda r, t: (1.0 - 2.0 * t) / (1.0 + r**2) ** 2
-        return lambda r, t: RD.homothety_lambda(r, t)
-    return lambda r, t: RD.ke_lambda(r)
+    profile, exact, _ = RADIAL_DATA[fl["initial"]]
+    ghosts = {"exact-homothety": exact, "extrapolate": None,
+              "exact-ke": lambda r, t: RD.ke_lambda(r)}[fl["boundary"]]
+    return (lambda r: profile(r, fl["perturbation_amplitude"])), ghosts
 
 
 def _h_lambda(cfg):
@@ -208,7 +231,6 @@ class ScenarioResult:
         self.cfg = cfg
         self.run = None
         self.torus_frames = None
-        self.torus_state = None
         self.phase1 = None
         self.checks = []
         self.broken = False
@@ -220,17 +242,13 @@ class ScenarioResult:
 
 
 def _torus_datum(cfg):
-    """lam0 on the torus config's N x N box grid: the bumpy
-    exp(a cos(2 pi x/L) cos(2 pi y/L)), else flat."""
-    fl = cfg["flow"]
+    """lam0 of a torus config's datum on its N x N box grid."""
     res = cfg["chart"]["grid_resolution"]
     L = cfg["chart"]["box_length"]
-    if fl["initial"] != "bumpy":
-        return np.ones((res, res))
     x = np.arange(res) * (L / res)
     X, Y = np.meshgrid(x, x, indexing="ij")
-    return np.exp(fl["perturbation_amplitude"] * np.cos(2 * np.pi * X / L)
-                  * np.cos(2 * np.pi * Y / L))
+    return TORUS_DATA[cfg["flow"]["initial"]](
+        X, Y, L, cfg["flow"]["perturbation_amplitude"])
 
 
 def _execute_flow(cfg, result: ScenarioResult):
@@ -239,42 +257,34 @@ def _execute_flow(cfg, result: ScenarioResult):
     kind = cfg["kind"]
     if kind == "torus":
         L = cfg["chart"]["box_length"]
-        state, frames = run_torus_flow(_torus_datum(cfg), L, fl["t_max"],
-                                       safety=fl["safety"],
-                                       frame_dt=fl["frame_dt"])
-        result.torus_state, result.torus_frames = state, frames
+        _, result.torus_frames = run_torus_flow(
+            _torus_datum(cfg), L, fl["t_max"], safety=fl["safety"],
+            frame_dt=fl["frame_dt"])
         return
     rmax = cfg["chart"]["r_max"]
-    init = _initial_field(cfg)
-    bnd = _boundary_field(cfg)
-    href = _h_lambda(cfg)
+    init, bnd = _radial_datum(cfg)
+    common = dict(nodes=res, safety=fl["safety"], order=fl["order"],
+                  h_reference=_h_lambda(cfg),
+                  min_eig_floor=fl["min_eig_floor"])
     if kind == "radial":
-        result.run = RD.run_radial_flow(
-            init, rmax, fl["t_max"], nodes=res, boundary=bnd,
-            safety=fl["safety"], order=fl["order"], frame_dt=fl["frame_dt"],
-            h_reference=href, min_eig_floor=fl["min_eig_floor"])
+        result.run = RD.run_radial_flow(init, rmax, fl["t_max"], boundary=bnd,
+                                        frame_dt=fl["frame_dt"], **common)
     elif kind == "radial-normalized":
         result.run = RD.run_normalized_radial(
-            init, rmax, fl["s_max"], nodes=res, boundary=bnd,
-            safety=fl["safety"], order=fl["order"], frame_ds=fl["frame_dt"],
-            h_reference=href, min_eig_floor=fl["min_eig_floor"])
-    else:  # two-phase-normalized
-        phase1 = RD.run_radial_flow(
-            init, rmax, fl["phase1_t"], nodes=res, boundary=bnd,
-            safety=fl["safety"], order=fl["order"],
-            frame_dt=fl["phase1_t"] / 20.0, h_reference=href,
-            min_eig_floor=fl["min_eig_floor"])
-        result.phase1 = phase1
-        if phase1.broken:
-            result.broken, result.breakdown = True, phase1.breakdown
-            return
-        bnd2 = (lambda r, s: RD.ke_lambda(r)) if bnd is not None else None
-        result.run = RD.run_normalized_radial(
-            phase1.frames[-1].lam, rmax, fl["s_max"], nodes=res, boundary=bnd2,
-            safety=fl["safety"], order=fl["order"], frame_ds=fl["frame_dt"],
-            h_reference=href, min_eig_floor=fl["min_eig_floor"])
-    if result.run is not None and result.run.broken:
-        result.broken, result.breakdown = True, result.run.breakdown
+            init, rmax, fl["s_max"], boundary=bnd, frame_ds=fl["frame_dt"],
+            **common)
+    else:  # two-phase-normalized, phase 2 from phase 1's last frame
+        phase1 = result.phase1 = RD.run_radial_flow(
+            init, rmax, fl["phase1_t"], boundary=bnd,
+            frame_dt=fl["phase1_t"] / 20.0, **common)
+        if not phase1.broken:
+            bnd2 = (lambda r, s: RD.ke_lambda(r)) if bnd is not None else None
+            result.run = RD.run_normalized_radial(
+                phase1.frames[-1].lam, rmax, fl["s_max"], boundary=bnd2,
+                frame_ds=fl["frame_dt"], **common)
+    for run in (result.phase1, result.run):
+        if run is not None and run.broken:
+            result.broken, result.breakdown = True, run.breakdown
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +295,11 @@ def _chk_tracking(cfg, result):
     tol = cfg["tolerances"]["tracking"]
     interior = cfg["tolerances"]["tracking_interior"]
     run = result.phase1 or result.run
+    flow = RADIAL_DATA[cfg["flow"]["initial"]][1]
     mask = run.grid.r <= interior
     worst, where = 0.0, None
     for fr in run.frames:
-        exact = RD.homothety_lambda(run.grid.r, fr.time)
+        exact = flow(run.grid.r, fr.time)
         rel = np.abs(fr.lam - exact)[mask] / exact[mask]
         i = int(np.argmax(rel))
         if rel[i] > worst:
@@ -309,20 +320,16 @@ def _chk_stationarity(cfg, result):
 
 def _chk_scalar_lower(cfg, result):
     tol = cfg["tolerances"]["scalar_lower_bound"]
-    if result.run is not None or result.phase1 is not None:
-        reports = []
-        for run in (result.phase1, result.run):
-            if run is None or run.normalized:
-                continue
-            reports.append(estimates.scalar_lower_bound_check(run, tol))
-        if reports:
-            worst = min(reports, key=lambda r: r.worst_slack)
-            return worst
+    reports = [estimates.scalar_lower_bound_check(run, tol)
+               for run in (result.phase1, result.run)
+               if run is not None and not run.normalized]
+    if reports:
+        return min(reports, key=lambda r: r.worst_slack)
     # torus variant
     h = cfg["chart"]["box_length"] / result.torus_frames[0][1].shape[0]
     worst, where = np.inf, None
     for t, lam, _ in result.torus_frames:
-        R = -ddbar_periodic(np.log(lam), h) / lam
+        R = scalar_curvature_periodic(lam, h)
         m = float(np.min(t * R + 1.0))
         if m < worst:
             worst, where = m, ("t", t)
@@ -406,9 +413,9 @@ def _csv_rows(result: ScenarioResult):
     rows = []
     if result.torus_frames is not None:
         lam0 = result.torus_frames[0][1]
-        L_h = result.torus_state.h
+        L_h = result.cfg["chart"]["box_length"] / lam0.shape[0]
         for i, (t, lam, _) in enumerate(result.torus_frames):
-            R = -ddbar_periodic(np.log(lam), L_h) / lam
+            R = scalar_curvature_periodic(lam, L_h)
             rows.append({"step": i, "time": t,
                          "sup_lambda": float(np.max(lam0 / lam)),
                          "inf_tR": float(np.min(t * R)),

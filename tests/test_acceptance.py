@@ -55,13 +55,12 @@ def crit9_runs():
     t0 = time.monotonic()
     phase1 = RD.run_radial_flow(
         lambda r: RD.perturbed_poincare_lambda(r, 0.1), 0.95, 1.0, nodes=128,
-        order=6, safety=1.0, frame_dt=0.02,
+        order=6, frame_dt=0.02,
         boundary=lambda r, t: RD.homothety_lambda(r, t),
         h_reference=RD.poincare_lambda)
     phase2 = RD.run_normalized_radial(
-        phase1.frames[-1].lam, 0.95, 20.0, nodes=128, order=6, safety=1.4,
-        frame_ds=0.25, boundary=lambda r, s: RD.ke_lambda(r),
-        h_reference=RD.poincare_lambda)
+        phase1.frames[-1].lam, 0.95, 20.0, nodes=128, order=6, frame_ds=0.25,
+        boundary=lambda r, s: RD.ke_lambda(r), h_reference=RD.poincare_lambda)
     return phase1, phase2, time.monotonic() - t0
 
 
@@ -148,7 +147,7 @@ def test_criterion_04_trace_evolution_identity():
     residuals = {}
     for nodes, fdt in ((256, 1e-4), (512, 5e-5)):
         run = RD.run_radial_flow(
-            RD.poincare_lambda, 0.8, 0.005, nodes=nodes, order=4, safety=1.0,
+            RD.poincare_lambda, 0.8, 0.005, nodes=nodes, order=4,
             frame_dt=fdt, boundary=lambda r, t: RD.homothety_lambda(r, t))
         for hk in ("poincare", "euclidean"):
             residuals[(nodes, hk)] = ES.trace_identity_on_run(run, hk)[
@@ -164,8 +163,8 @@ def test_criterion_04_trace_evolution_identity():
 def test_criterion_05_exact_solution_tracking():
     t0 = time.monotonic()
     run = RD.run_radial_flow(
-        RD.poincare_lambda, 0.8, 0.5, nodes=512, order=6, safety=4.0,
-        frame_dt=0.05, boundary=lambda r, t: RD.homothety_lambda(r, t))
+        RD.poincare_lambda, 0.8, 0.5, nodes=512, order=6, frame_dt=0.05,
+        boundary=lambda r, t: RD.homothety_lambda(r, t))
     elapsed = time.monotonic() - t0
     worst = 0.0
     for fr in run.frames:

@@ -1,0 +1,139 @@
+"""Property tests of the scenario loader: whatever the config, `load_config`
+returns or raises ConfigError, and every (kind, initial, boundary) it accepts
+builds its datum and its ghosts on the run's grid."""
+import copy
+import json
+import os
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from crflow import radial as RD
+from crflow import scenarios as SC
+from crflow.errors import ConfigError
+
+INITIALS = sorted({*SC.RADIAL_DATA, *SC.TORUS_DATA})
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 100)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+# per field, values that pass or nearly pass, so that the value checks run
+PLAUSIBLE = {
+    "kind": st.sampled_from(SC.KINDS),
+    "initial": st.sampled_from(INITIALS),
+    "boundary": st.sampled_from(SC.BOUNDARIES),
+    "topology": st.sampled_from(["radial-disk", "periodic-box"]),
+    "g0": st.sampled_from(["euclidean", "poincare-disk",
+                           "conformal:euclidean:constant:x"]),
+    "checks": st.lists(st.sampled_from(SC.CHECKS + ("bogus",)), max_size=3),
+}
+
+
+def _value(key, default):
+    if key in PLAUSIBLE:
+        plausible = PLAUSIBLE[key]
+    elif isinstance(default, float) or default is None:
+        plausible = st.floats(-1.0, 2.0) | st.none()
+    elif isinstance(default, int):
+        plausible = st.integers(0, 64)
+    else:       # a fresh copy, so that no draw shares DEFAULTS' objects
+        plausible = st.builds(copy.deepcopy, st.just(default))
+    return plausible | json_values
+
+
+def _section(fields):
+    return st.dictionaries(st.sampled_from(sorted(fields)), st.none(),
+                           max_size=len(fields)).flatmap(
+        lambda keys: st.fixed_dictionaries(
+            {k: _value(k, fields[k]) for k in keys}))
+
+
+CONFIG_FIELDS = {**SC.DEFAULTS, "chart": SC.CHART_KEYS, "scenario_name": "s",
+                 "kind": "torus", "checks": []}
+
+
+@st.composite
+def configs(draw):
+    cfg = {}
+    for key in draw(st.sets(st.sampled_from(sorted(CONFIG_FIELDS)))):
+        default = CONFIG_FIELDS[key]
+        if isinstance(default, dict) and draw(st.booleans()):
+            cfg[key] = draw(_section(default))
+        else:
+            cfg[key] = draw(_value(key, default))
+    if draw(st.booleans()):
+        cfg[draw(st.text(max_size=6))] = draw(json_values)
+    return cfg
+
+
+with open(SC.bundled_manifest()) as f:
+    BUNDLED = [SC.load_config(os.path.join(SC.bundled_scenario_dir(), name))
+               for name in json.load(f)["scenarios"]]
+
+
+@st.composite
+def mutated(draw):
+    """A bundled scenario with one or two fields redrawn: many of these
+    pass, so the loader's accepting path runs too."""
+    cfg = copy.deepcopy(draw(st.sampled_from(BUNDLED)))
+    for _ in range(draw(st.integers(1, 2))):
+        key = draw(st.sampled_from(sorted(CONFIG_FIELDS)))
+        fields = CONFIG_FIELDS[key]
+        if (isinstance(fields, dict) and isinstance(cfg.get(key), dict)
+                and draw(st.booleans())):
+            k = draw(st.sampled_from(sorted(fields)))
+            cfg[key][k] = draw(_value(k, fields[k]))
+        else:
+            cfg[key] = draw(_value(key, fields))
+    return cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(configs() | mutated() | json_values)
+def test_load_config_raises_only_config_error(raw):
+    try:
+        cfg = SC.load_config(raw)
+    except ConfigError as e:
+        assert e.violations and all(isinstance(v, str) for v in e.violations)
+    else:
+        json.dumps(cfg)             # echoed in report.json as it stands
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(SC.KINDS), initial=st.sampled_from(INITIALS),
+       boundary=st.sampled_from(SC.BOUNDARIES),
+       r_max=st.floats(0.05, 0.98), nodes=st.integers(8, 48),
+       order=st.sampled_from([4, 6]), amplitude=st.floats(-0.5, 0.5))
+def test_accepted_data_build_on_the_grid(kind, initial, boundary, r_max, nodes,
+                                         order, amplitude):
+    """Without running a flow: lam0 is finite and positive on the grid, and
+    a datum's exact ghosts start from the datum itself."""
+    chart = {"grid_resolution": nodes}
+    chart.update({"box_length": 1.0} if kind == "torus" else {"r_max": r_max})
+    raw = {"scenario_name": "p", "kind": kind, "chart": chart,
+           "flow": {"initial": initial, "boundary": boundary, "order": order,
+                    "perturbation_amplitude": amplitude, "t_max": 0.1,
+                    "s_max": 1.0}}
+    try:
+        cfg = SC.load_config(raw)
+    except ConfigError:
+        return
+    if kind == "torus":
+        lam0 = SC._torus_datum(cfg)
+        assert lam0.shape == (nodes, nodes)
+        assert np.all(np.isfinite(lam0)) and lam0.min() > 0
+        return
+    grid = RD.RadialGrid(r_max, nodes, order)
+    lam0, ghosts = SC._radial_datum(cfg)
+    assert np.all(np.isfinite(lam0(grid.r))) and lam0(grid.r).min() > 0
+    assert (ghosts is None) == (boundary == "extrapolate")
+    if ghosts is not None:
+        rg = grid.outer_ghost_radii()
+        g = ghosts(rg, 0.1)
+        assert np.all(np.isfinite(g)) and g.min() > 0
+        if boundary == "exact-homothety":
+            assert np.allclose(ghosts(rg, 0.0), lam0(rg), rtol=1e-15, atol=0)

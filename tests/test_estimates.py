@@ -127,9 +127,8 @@ def test_ke_expected_divergence():
 
 
 def test_ke_check_broken_run_not_applicable():
-    fs = lambda r: 1.0 / (1.0 + r**2) ** 2
-    run = RD.run_radial_flow(fs, 0.8, 0.45, nodes=32, min_eig_floor=0.05,
-                             boundary=lambda r, t: (1 - 2 * t) * fs(r))
+    run = RD.run_radial_flow(RD.fubini_cap_lambda, 0.8, 0.45, nodes=32,
+                             min_eig_floor=0.05, boundary=RD.fubini_cap_lambda)
     assert run.broken
     rep = ES.ke_convergence_check(run)
     assert not rep.satisfied
@@ -213,13 +212,12 @@ def test_report_json_shape(homothety_run):
 def test_trace_barrier_calibration_stable_under_refinement():
     """On the shrinking cap (Lambda grows), the smallest barrier constant c1
     is nontrivial and stable under grid refinement."""
-    fs = lambda r: 1.0 / (1.0 + r**2) ** 2
+    fs = RD.fubini_cap_lambda
     bc = ES.BarrierConfig(n=1, alpha=1.0, kappa0=1.0, c1=1.0)
     c1s = []
     for nodes in (48, 96):
         run = RD.run_radial_flow(fs, 0.8, 0.3, nodes=nodes, frame_dt=0.02,
-                                 boundary=lambda r, t: (1 - 2 * t) * fs(r),
-                                 h_reference=fs)
+                                 boundary=fs, h_reference=fs)
         rep = ES.trace_barrier_check(run, bc)
         c1s.append(rep.extra["calibrated_c1"])
     assert c1s[0] > 0.01

@@ -8,7 +8,7 @@ from crflow import radial as RD
 from crflow import scenarios as SC
 from crflow.errors import FlowBreakdownError
 from crflow.flow import (DiskGrid, cfl_bound, ddbar_periodic, require_positive,
-                         run_disk2d_flow, run_torus_flow, sdirk4)
+                         rk4, run_disk2d_flow, run_torus_flow, sdirk4)
 
 
 def bumpy_lam0(N, L=1.0, amp=0.05):
@@ -103,6 +103,33 @@ def test_torus_datum_off_the_cone_raises_without_warning(bad, mode):
     assert exc.value.where == (3, 5)
 
 
+def test_torus_flow_rejects_an_unknown_mode():
+    """A misspelt mode is an error, not a silent potential-form run."""
+    with pytest.raises(ValueError, match="metrik"):
+        run_torus_flow(bumpy_lam0(8), 1.0, 1e-3, mode="metrik")
+
+
+@pytest.mark.parametrize("floor, frame_times", [
+    (0.5, [0.0, 0.1, 0.2, 0.3, 0.4]),   # breaks between frames: one more
+    (1.0 - 1e-12, [0.0]),               # the first step fails: none more
+])
+def test_broken_run_frames_its_last_accepted_state_once(floor, frame_times):
+    """lam' = -1 from 1 crosses the floor; `_march` ends the frames on the
+    last accepted state, and records no state twice."""
+    frames = []
+    y, steps, t, err = rk4(
+        np.ones(1), 1.0, lambda t, v, out: out.fill(-1.0),
+        lambda t, v: 0.01, lambda t, v: require_positive(v, t, floor, int),
+        frame_dt=0.1, frame=lambda step, t, v: frames.append((step, t, v[0])))
+    assert isinstance(err, FlowBreakdownError)
+    assert frames[-1] == (steps, t, y[0])
+    assert y[0] > floor and abs(y[0] - floor) < 1e-7
+    assert [s for s, _, _ in frames] == sorted({s for s, _, _ in frames})
+    got = [ft for _, ft, _ in frames]
+    assert got[:len(frame_times)] == pytest.approx(frame_times, abs=1e-12)
+    assert len(got) == len(frame_times) + (t > frame_times[-1] + 1e-12)
+
+
 @pytest.mark.parametrize("name, steps", [("bumpy-torus", 180),
                                          ("flat-torus-stationary", 110)])
 def test_torus_steps_pinned(name, steps):
@@ -173,8 +200,7 @@ def test_positively_curved_cap_shrinks_and_breaks_down():
     """Fubini-Study-like cap lam = (1+r^2)^-2 has Ric = +2g; the flow is the
     exact homothety lam(t) = (1-2t) lam0, so det g shrinks where Ric > 0 and
     positivity fails at t = 1/2 (surfaced as an explicit breakdown)."""
-    fs = lambda r: 1.0 / (1.0 + r**2) ** 2
-    boundary = lambda r, t: (1.0 - 2.0 * t) * fs(r)
+    fs = boundary = RD.fubini_cap_lambda
     run = RD.run_radial_flow(fs, 0.8, 0.2, nodes=32, boundary=boundary)
     assert not run.broken
     mid = run.frames[len(run.frames) // 2]

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -184,32 +187,25 @@ def test_sdirk4_unnormalized_frames_match_rk4(order, nodes):
         assert np.abs(fr.lam / v - 1.0).max() <= 1e-10
 
 
-def _cap(r):
-    return 1.0 / (1.0 + r**2) ** 2
-
-
-def _cap_ghosts(r, t):
-    return (1.0 - 2.0 * t) * _cap(r)
-
-
 def test_breakdown_time_is_resolved():
     """The cap (1 + r^2)^-2 shrinks as (1 - 2t) (1 + r^2)^-2 and crosses the
     floor 0.05 at t = (1 - 0.05/min lam0)/2.  Both steppers place the
     breakdown there to 1e-6, however long their steps: SDIRK4 through
     `run_radial_flow`, RK4 on the same system built from `radial_rhs`."""
-    run = RD.run_radial_flow(_cap, 0.8, 0.45, nodes=32, min_eig_floor=0.05,
-                             boundary=_cap_ghosts)
-    crossing = (1.0 - 0.05 / _cap(run.grid.r).min()) / 2.0
+    cap = RD.fubini_cap_lambda
+    run = RD.run_radial_flow(cap, 0.8, 0.45, nodes=32, min_eig_floor=0.05,
+                             boundary=cap)
+    crossing = (1.0 - 0.05 / cap(run.grid.r).min()) / 2.0
     assert run.broken and "floor" in run.breakdown
     assert abs(run.frames[-1].time - crossing) < 1e-6
     grid = run.grid
-    blog = lambda r, t: np.log(_cap_ghosts(r, t))
+    blog = lambda r, t: np.log(cap(r, t))
 
     def rhs(t, v, out):
         out[:] = RD.radial_rhs(grid, v, t, blog)
 
     _, _, t, err = rk4(
-        _cap(grid.r), 0.45, rhs,
+        cap(grid.r), 0.45, rhs,
         lambda t, v: cfl_bound(float(v.min()), 2.0, grid.h, 1.0),
         lambda t, v: require_positive(v, t, 0.05, grid.location))
     assert isinstance(err, FlowBreakdownError)
@@ -220,8 +216,9 @@ def test_cap_flow_reaches_singular_time():
     """On a floor of 1e-10 the cap flows to its singular time t = 1/2, where
     lam -> 0 everywhere; SDIRK4 gets there in under 1,000 steps, where
     RK4's step h^2 min lam shrinks with lam."""
-    run = RD.run_radial_flow(_cap, 0.8, 0.6, nodes=32, min_eig_floor=1e-10,
-                             boundary=_cap_ghosts)
+    cap = RD.fubini_cap_lambda
+    run = RD.run_radial_flow(cap, 0.8, 0.6, nodes=32, min_eig_floor=1e-10,
+                             boundary=cap)
     assert run.broken and "floor" in run.breakdown
     assert abs(run.frames[-1].time - 0.5) < 1e-6
     assert run.steps_taken < 1000
@@ -262,7 +259,14 @@ def test_ke_ghost_normalized_run_breaks_down_at_floor():
                                    1.0, nodes=48, min_eig_floor=2.5,
                                    boundary=lambda r, s: RD.ke_lambda(r))
     assert run.broken and "<= floor 2.5" in run.breakdown
-    assert run.frames[-1].lam.min() > 2.5
+    last = run.frames[-1]
+    assert last.lam.min() > 2.5
+    # the last accepted state is the last frame, with its potential pair
+    assert last.step == run.steps_taken and last.phi is not None
+    assert np.array_equal(last.phi_prime, np.log(last.lam / run.frames[0].lam)
+                          - last.phi)
+    steps = [fr.step for fr in run.frames]
+    assert steps == sorted(set(steps))
 
 
 def test_band_is_the_given_closure_block():
@@ -279,13 +283,14 @@ def test_band_is_the_given_closure_block():
 
 
 def test_breakdown_frame_is_last_accepted_state():
-    fs = lambda r: 1.0 / (1.0 + r**2) ** 2
-    run = RD.run_radial_flow(fs, 0.8, 0.45, nodes=16, min_eig_floor=0.05,
-                             boundary=lambda r, t: (1 - 2 * t) * fs(r))
+    run = RD.run_radial_flow(RD.fubini_cap_lambda, 0.8, 0.45, nodes=16,
+                             min_eig_floor=0.05, boundary=RD.fubini_cap_lambda)
     assert run.broken and "floor" in run.breakdown
     last = run.frames[-1]
     assert last.step == run.steps_taken
     assert last.lam.min() > 0.05
+    steps = [fr.step for fr in run.frames]
+    assert steps == sorted(set(steps))
 
 
 def test_potential_flow_refuses_nan():
@@ -457,3 +462,19 @@ def test_normalize_op_horizon_error(homothety_run_past_t1):
     run_n = RD.run_normalized_radial(RD.ke_lambda, 0.8, 0.2, nodes=32)
     with pytest.raises(ValueError):
         RD.normalize(run_n, 0.1)
+
+
+def test_a_run_is_freed_when_dropped():
+    """A run holds no reference cycle (its ghost field closes over the
+    boundary, not the run), so it is freed without the cyclic collector;
+    a loop of runs would otherwise pile up frames and grids between
+    collections."""
+    gc.disable()
+    try:
+        run = RD.run_radial_flow(RD.poincare_lambda, 0.8, 0.05, nodes=32,
+                                 boundary=RD.homothety_lambda)
+        grid = weakref.ref(run.grid)
+        del run
+        assert grid() is None
+    finally:
+        gc.enable()

@@ -24,6 +24,18 @@ FAST_TORUS = {
     "seed": 0,
 }
 
+FAST_RADIAL = {
+    "scenario_name": "r",
+    "kind": "radial",
+    "metrics": {"g0": "poincare-disk", "h": "poincare-disk"},
+    "chart": {"complex_dimension": 1, "topology": "radial-disk",
+              "grid_resolution": 64, "r_max": 0.8},
+    "flow": {"initial": "hyperbolic-ke", "boundary": "exact-homothety",
+             "order": 6, "t_max": 0.2, "frame_dt": 0.02},
+    "tolerances": {"tracking": 1e-6, "tracking_interior": 0.8},
+    "checks": ["exact-homothety-tracking"],
+}
+
 
 def _cli(*args, env_extra=None):
     env = dict(os.environ)
@@ -64,6 +76,10 @@ def test_config_rejects_unknown_keys():
     ("flow", "safety", 0.0, "flow.safety"),
     ("chart", "complex_dimension", 2, "chart.complex_dimension"),
     ("chart", "topology", "radial-disk", "chart.topology"),
+    ("flow", "initial", "poincare", "flow.initial"),
+    ("flow", "initial", "fubini-cap", "flow.initial"),
+    ("flow", "t_max", float("nan"), "flow.t_max"),
+    ("flow", "frame_dt", -0.001, "flow.frame_dt"),
 ])
 def test_config_rejects_values_no_run_honours(section, key, value, needle):
     """A value the integrator would cap or ignore is a ConfigError, not an
@@ -74,6 +90,65 @@ def test_config_rejects_values_no_run_honours(section, key, value, needle):
         SC.load_config(bad)
     assert len(ei.value.violations) == 1
     assert needle in ei.value.violations[0]
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("flow", "t_max", "abc"),
+    ("flow", "safety", True),
+    ("flow", "order", 4.0),
+    ("flow", None, 5),
+    ("chart", None, "x"),
+    ("chart", "box_length", "1"),
+    ("tolerances", None, 1),
+    ("checks", None, 3),
+    ("checks", None, ["flat-stationarity", 1]),
+])
+def test_config_rejects_values_of_the_wrong_type(section, key, value):
+    """A value whose type its default does not allow is one ConfigError,
+    before the loader or the run reads it."""
+    bad = json.loads(json.dumps(FAST_TORUS))
+    if key is None:
+        bad[section] = value
+    else:
+        bad[section][key] = value
+    with pytest.raises(ConfigError) as ei:
+        SC.load_config(bad)
+    assert len(ei.value.violations) == 1
+    path = section if key is None else f"{section}.{key}"
+    assert ei.value.violations[0].startswith(path + " ")
+
+
+@pytest.mark.parametrize("kind, flow, r_max, needle", [
+    ("radial", {"initial": "bumpy"}, 0.8, "flow.initial"),
+    ("radial", {"initial": "perturbed-poincare"}, 0.7, "r_max >= 0.8"),
+    ("two-phase-normalized", {"s_max": 1.0, "phase1_t": float("nan")}, 0.8,
+     "flow.phase1_t"),
+])
+def test_radial_config_needs_a_datum_and_horizons_it_can_run(kind, flow,
+                                                             r_max, needle):
+    """The torus' bumpy datum has no radial profile, the perturbed datum's
+    exact ghosts need its bump, which ends at r = 0.8, inside r_max, and
+    phase 1 needs a horizon that ends."""
+    bad = json.loads(json.dumps(FAST_RADIAL))
+    bad["kind"], bad["chart"]["r_max"] = kind, r_max
+    bad["flow"].update(flow)
+    with pytest.raises(ConfigError) as ei:
+        SC.load_config(bad)
+    assert len(ei.value.violations) == 1
+    assert needle in ei.value.violations[0]
+
+
+def test_exact_homothety_is_the_datum_s_own_flow():
+    """hyperbolic-ke with exact-homothety ghosts tracks (2 + 2t)(1 - r^2)^-2
+    to the stencil's accuracy, and flat data with them stays exactly 1."""
+    report = SC.run_scenario(FAST_RADIAL)
+    assert report["pass"]
+    assert report["checks"][0]["extra"]["max_rel_error"] < 1e-7
+    flat = json.loads(json.dumps(FAST_RADIAL))
+    flat["flow"]["initial"] = "flat"
+    flat["metrics"] = {"g0": "euclidean", "h": "euclidean"}
+    report = SC.run_scenario(flat)
+    assert report["checks"][0]["extra"]["max_rel_error"] == 0.0
 
 
 def test_bundled_scenarios_load():
@@ -198,6 +273,16 @@ def test_cli_exit_two_on_config_error(tmp_path):
     r = _cli("run", str(cfg), "-o", str(tmp_path / "o"))
     assert r.returncode == 2
     assert "missing-metric" in r.stderr
+
+
+def test_cli_exit_two_on_a_value_of_the_wrong_type(tmp_path):
+    cfg = tmp_path / "bad.json"
+    bad = json.loads(json.dumps(FAST_TORUS))
+    bad["flow"]["t_max"] = "abc"
+    cfg.write_text(json.dumps(bad))
+    r = _cli("run", str(cfg), "-o", str(tmp_path / "o"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("config error: ") and "flow.t_max" in r.stderr
 
 
 def test_cli_exit_three_on_breakdown(tmp_path):
