@@ -14,10 +14,9 @@ and its potential form, with Ric0 = -ddbar log lam0,
 Space discretization is the 9-point second-order stencil.  There are two
 steppers, on one loop (`_march`) that owns frames, breakdown and the step
 count: `rk4`, explicit RK4 under a `cfl_bound` step limit, steps these
-flows, the radial potential form and the radial metric flows with
-extrapolated ghosts; `sdirk4`, an L-stable implicit SDIRK4 with its own
-error control, steps the radial metric flows whose outer ghosts are given,
-where accuracy allows steps far above the explicit limit.
+flows and the radial potential form; `sdirk4`, an L-stable implicit SDIRK4
+with its own error control, steps every radial metric flow, whatever its
+outer closure, where accuracy allows steps far above the explicit limit.
 `require_positive` is the one positivity guard: it refuses NaN, +-inf and
 values at or below a floor, and breakdown raises `FlowBreakdownError` with
 the offending location.  Hermitian symmetry is exact in this representation
@@ -100,24 +99,20 @@ def _march(y, t_end, advance, check, frame_dt, frame):
     return y, step, t, None
 
 
-def rk4(y, t_end, rhs, cfl, check, *, cfl_every=1, frame_dt=None, frame=None):
+def rk4(y, t_end, rhs, cfl, check, *, frame_dt=None, frame=None):
     """Explicit RK4 from t = 0 to t_end on the state array y.
 
     `rhs(t, y, out)` writes dy/dt into out (and may set boundary values of
     y, as the masked disk does with its band).  `cfl(t, y)`, the step limit, is
-    recomputed every `cfl_every` steps.  `check(t, y)` raises
+    recomputed every step.  `check(t, y)` raises
     FlowBreakdownError on the initial and each accepted state; stages go
     unchecked, as a negative stage turns into NaN, which fails the check.
     Frames, the return value and breakdown are `_march`'s.
     """
     k = np.empty((4,) + y.shape)
-    dt_cfl = None
 
     def advance(t, y, step, limit):
-        nonlocal dt_cfl
-        if dt_cfl is None or step % cfl_every == 0:
-            dt_cfl = cfl(t, y)
-        dt = min(dt_cfl, limit)
+        dt = min(cfl(t, y), limit)
         rhs(t, y, k[0])
         rhs(t + dt / 2, y + dt / 2 * k[0], k[1])
         rhs(t + dt / 2, y + dt / 2 * k[1], k[2])
@@ -143,17 +138,19 @@ _SDIRK_E = (-3 / 16, -27 / 32, 25 / 32, 0.0, 1 / 4)
 def sdirk4(y, t_end, rhs, factor, check, *, frame_dt=None, frame=None):
     """L-stable implicit SDIRK4 from t = 0 to t_end on the state array y.
 
-    `rhs(t, y, out)` as for `rk4`; a state outside its domain (lam <= 0)
-    must come out non-finite, as the log in the flows' right-hand sides
-    makes it.  `factor(t, y, hg)` factors I - hg J at the step's start
-    state, J the Jacobian of rhs, and returns `solve(r)`, which gives
-    (I - hg J)^-1 r.  The five stages of a step share that factorization and
-    are solved by simplified Newton.  The step size is controlled on the
-    embedded order-3 error, filtered through the same solve, at `rtol`.  A
-    step whose Newton iteration turns non-finite or stalls is cut by 4 and
-    retried, so such an iterate is never accepted; a step that falls below
-    1e-14 (1 + t) is a breakdown.  Frames, `check`, the return value and
-    breakdown are `_march`'s, as for `rk4`.
+    `rhs(t, y, out)` as for `rk4`; a state outside its domain (lam <= 0
+    where the state is lam) must come out non-finite, as the log in the
+    flows' right-hand sides makes it.  `factor(t, y, hg)` factors I - hg J
+    at the step's start state, J the Jacobian of rhs, and returns
+    `solve(r)`, which gives (I - hg J)^-1 r.  The five stages of a step share
+    that factorization and are solved by simplified Newton.  The step size
+    is controlled on the embedded order-3 error, filtered through the same
+    solve, at `rtol`.  The first step is Hairer's 1e-2 |y| / |y'|, or 1e-6
+    where either size is below 1e-5, as on a zero state.  A step whose
+    Newton iteration turns non-finite or stalls is cut by 4 and retried, so
+    such an iterate is never accepted; a step that falls below 1e-14 (1 + t)
+    is a breakdown.  Frames, `check`, the return value and breakdown are
+    `_march`'s, as for `rk4`.
     """
     hk = np.empty((5,) + y.shape)       # h times each stage's derivative
     f = np.empty_like(y)
@@ -194,10 +191,15 @@ def sdirk4(y, t_end, rhs, factor, check, *, frame_dt=None, frame=None):
     def advance(t, y, step, limit):
         nonlocal h
         sc = rtol * (1.0 + np.abs(y))
-        if h is None:
+        if h is None:       # Hairer's initial step, floored on a zero state
             rhs(t, y, f)
-            fn = size(f, sc)
-            h = limit if fn == 0.0 else min(limit, 1e-2 * size(y, sc) / fn)
+            yn, fn = size(y, sc), size(f, sc)
+            if fn == 0.0:
+                h = limit
+            elif yn < 1e-5 or fn < 1e-5:
+                h = min(limit, 1e-6)
+            else:
+                h = min(limit, 1e-2 * yn / fn)
         while True:
             dt = min(h, limit)
             if dt < 1e-14 * (1.0 + t):

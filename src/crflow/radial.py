@@ -17,19 +17,19 @@ and d1 are each one sparse operator per outer closure, built by one fold of
 the origin mirror and the outer closure into per-node stencil weights, and
 applied to u - u[0], so they are exactly 0.0 on constants: the extrapolated
 closure grows round-off about 1e6-fold (2-norm of exp((e^3 - 1) A), 64
-nodes) over a flat normalized run to s = 3.  The radial flows run on a
-state, lam or (lam, phi), and guard positivity with
-`flow.require_positive`.  The stepper follows from the input: a metric run
-with given ghosts steps through `flow.sdirk4`, implicit and L-stable, on the
-banded Jacobian A diag(1/lam), less I for the normalized flow, A the m x m
-block of the given-closure operator (`RadialGrid.band`, factored by
-`RadialGrid.band_solver`); a run with extrapolated ghosts, and the potential
-form, step through `flow.rk4`, explicit under `cfl_bound`.  The explicit
-step stays at h^2 min lam however smooth the solution (141,967 steps for
-the 512-node homothety to t = 0.5, where SDIRK4 takes 14), and the
-normalized flow settles on its KE fixed point long before s_end; an
-implicit solve is not exact on constants, so the extrapolated closure keeps
-RK4.
+nodes) over a flat normalized run to s = 3.  The radial metric flows step
+through `flow.sdirk4`, implicit and L-stable, whichever the closure, each in
+the variable in which its model solution is polynomial in time: the
+unnormalized flow in lam (the homothety is linear in t), the normalized
+flow in v = log lam (flat data has v' = -1).  Both factor one banded matrix
+diag(d) - hg A, A the m x m block of the run's closure (`RadialGrid.band`,
+`band_extrapolated`), through its row-scaled twin (`RadialGrid.band_solver`);
+the extrapolated block has A 1 = 0, which keeps a uniform state bitwise
+uniform.  The explicit step would stay at h^2 min lam however smooth the
+solution: 141,967 steps for the 512-node homothety to t = 0.5, where SDIRK4
+takes 14, and 96,500 for the flat normalized run to s = 3, where it takes
+226.  Only the potential form steps through `flow.rk4` under `cfl_bound`.
+Positivity is guarded with `flow.require_positive`.
 
 Exact references on the disk (checked symbolically):
     homothety      lam(r, t) = (1 + 2t) (1 - r^2)^-2      (Ric = -2 g at t=0)
@@ -115,18 +115,27 @@ class RadialGrid:
         else:
             w1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
             w2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
+        self._lo = lo = max(ng, 3)  # lower bandwidth; extrapolation reads u[m - 4]
         fused = 0.25 * (w2 / self.h**2 + w1 / (self.h * self.r[:, None]))
-        self._given, self._extrapolated = self._fold(fused)
-        self._d1_given, self._d1_extrapolated = self._fold(
-            np.broadcast_to(w1 / self.h, fused.shape))
+        given, extrapolated = self._fold(fused)
+        self._given, self._extrapolated = self._csr(given, extrapolated)
+        self._d1_given, self._d1_extrapolated = self._csr(*self._fold(
+            np.broadcast_to(w1 / self.h, fused.shape)))
         self._x = np.zeros(m + ng)
-        # the m x m block of the given-closure operator in LAPACK's band
-        # storage, A[i, i + d] at band[ng - d, i + d]: the Jacobian of ddbar
-        # in u, as the u - u[0] shift cancels
-        block = self._given[:, :m]
-        self.band = np.zeros((2 * ng + 1, m))
-        for d in range(-ng, ng + 1):
-            self.band[ng - d, max(d, 0):m + min(d, 0)] = block.diagonal(d)
+        # the m x m block A of each ddbar operator in LAPACK's band storage,
+        # `band` the given closure's and `band_extrapolated` the other's,
+        # A[i, i + d] at band[ng - d, i + d]: the Jacobian of ddbar in u, as
+        # the u - u[0] shift cancels
+        self.band, self.band_extrapolated = (np.zeros((lo + ng + 1, m))
+                                             for _ in range(2))
+        for d in range(-lo, ng + 1):
+            rows = slice(max(-d, 0), m - max(d, 0))
+            cols = slice(max(d, 0), m + min(d, 0))
+            self.band[ng - d, cols] = given[rows, lo + d]
+            self.band_extrapolated[ng - d, cols] = extrapolated[rows, lo + d]
+        # the row of A that each band entry lies in, for row scaling
+        self._band_rows = np.clip(np.arange(m) + np.arange(-ng, lo + 1)[:, None],
+                                  0, m - 1)
 
     def _fold(self, weights):
         """Per-node stencil weights on the padded vector g, weights[i, j] for
@@ -134,13 +143,11 @@ class RadialGrid:
         even mirror g[p] = u[ng - 1 - p] across r = 0, then either the given
         ghosts or cubic extrapolation, one ghost at a time.
 
-        Returns the two m x (m + ng) CSR operators (given, extrapolated).  Each
-        operator is the interior block with the closure folded in, and, for
-        given ghosts, the ng x ng block coupling them to the last ng rows; the
-        zero weights outside the operator point at x[0] and, extrapolating, at
-        x[m - 1], never at stale ghost values."""
-        m, ng = self.m, self.ng
-        lo = max(ng, 3)     # room for the extrapolation, which reads u[m - 4]
+        Returns the per-node weights (given, extrapolated), each m x (lo + 1
+        + ng) with [i, b] weighing x[i + b - lo]: the interior block with the
+        closure folded in, and, for given ghosts, the ng x ng block coupling
+        them to the last ng rows."""
+        m, ng, lo = self.m, self.ng, self._lo
         given = np.zeros((m, lo + 1 + ng))
         given[:, lo - ng:] = weights
         for i in range(ng):         # even mirror: g[p] = u[ng - 1 - p], p < ng
@@ -156,7 +163,13 @@ class RadialGrid:
             for k in range(i + ng - m + 1):             # the ghosts row i reads
                 row[:4] += row[4 + k] * forms[4 + k]
                 row[4 + k] = 0.0
-        # band[i, b] weighs x[i + b - lo]
+        return given, extrapolated
+
+    def _csr(self, given, extrapolated):
+        """The two m x (m + ng) CSR operators of `_fold`'s weights; the zero
+        weights outside an operator point at x[0] and, extrapolating, at
+        x[m - 1], never at stale ghost values."""
+        m, ng, lo = self.m, self.ng, self._lo
         cols = np.arange(m)[:, None] + np.arange(-lo, ng + 1)
         return tuple(sparse.csr_array(
             (band.ravel(), np.clip(cols, 0, last).ravel(),
@@ -188,16 +201,21 @@ class RadialGrid:
         given or extrapolated."""
         return self._apply(self._given, self._extrapolated, u, outer)
 
-    def band_solver(self, lam, hg, shift):
-        """`solve(r)` = (I - hg (A diag(1/lam) - shift I))^-1 r from one banded
-        LU, A the m x m block of the given-closure ddbar: the SDIRK4 matrix of
-        d_t lam = ddbar log lam - shift lam with given ghosts."""
-        ng = self.ng
-        lu = np.empty((3 * ng + 1, self.m), order="F")   # ng rows of fill-in
-        np.multiply(self.band, -hg * (1.0 / lam), out=lu[ng:])
-        lu[2 * ng] += 1.0 + hg * shift
-        _, piv, _ = dgbtrf(lu, ng, ng, overwrite_ab=1)
-        return lambda r: dgbtrs(lu, ng, ng, r, piv)[0]
+    def band_solver(self, d, hg, given):
+        """`solve(p)` = N^-1 p from one banded LU of N = I - hg diag(1/d) A,
+        A the m x m block of the given (or extrapolated) ddbar: the row-scaled
+        twin of diag(d) - hg A, the SDIRK4 matrix of both radial forms.  The
+        extrapolated block has A 1 = 0, so N 1 = 1 and the solve is
+        p[0] + N^-1 (p - p[0]): a uniform p comes out bitwise uniform."""
+        lo, ng = self._lo, self.ng
+        band = self.band if given else self.band_extrapolated
+        lu = np.empty((2 * lo + ng + 1, self.m), order="F")  # lo rows of fill-in
+        np.multiply(band, (-hg / d)[self._band_rows], out=lu[lo:])
+        lu[lo + ng] += 1.0
+        _, piv, _ = dgbtrf(lu, lo, ng, overwrite_ab=1)
+        if given:
+            return lambda p: dgbtrs(lu, lo, ng, p, piv)[0]
+        return lambda p: p[0] + dgbtrs(lu, lo, ng, p - p[0], piv)[0]
 
     def outer_ghost_radii(self):
         return self._rg_outer
@@ -219,7 +237,8 @@ def _ghosts_for(field_fn, grid, t):
 
 def _once_per_time(field_fn):
     """`field_fn(r, t)` at one grid's ghost radii, evaluated once per distinct
-    t: two of RK4's stages share t + dt/2, and t + dt is the next step's t."""
+    t: the Newton iterates of an SDIRK4 stage share its time, two of RK4's
+    stages share t + dt/2, and t + dt is the next step's t."""
     if field_fn is None:
         return None
     last = [None, None]
@@ -316,15 +335,17 @@ class RadialRun:
 
 
 def run_radial_flow(lam0, r_max, t_end, *, nodes=256, boundary=None,
-                    safety=1.0, frame_dt=None, h_reference=None,
+                    safety=None, frame_dt=None, h_reference=None,
                     order=4, min_eig_floor=1e-10) -> RadialRun:
     """Unnormalized radial flow from lam0 (array or callable of r).
 
     `boundary(r, t)` gives exact Dirichlet ghost values; None extrapolates.
     Frames are captured every `frame_dt` of flow time (default: 50 per run).
-    With ghosts given, the run steps through `flow.sdirk4` on a banded LU.
-    Extrapolated ghosts keep `flow.rk4`, with the CFL step, scaled by
-    `safety`, recomputed every 16 steps; `safety` only affects that path.
+    The run steps lam through `flow.sdirk4` on a banded LU of
+    diag(lam) - hg A, A the block of the run's closure, as
+    (I - hg A diag(1/lam))^-1 r = lam (diag(lam) - hg A)^-1 r: a homothety
+    is linear in t, so steps in lam are as long as the frames allow.
+    `safety` is accepted and unused, as no radial metric run has a CFL step.
     """
     grid = RadialGrid(r_max, nodes, order)
     lam00 = lam0(grid.r) if callable(lam0) else np.asarray(lam0, float).copy()
@@ -334,10 +355,9 @@ def run_radial_flow(lam0, r_max, t_end, *, nodes=256, boundary=None,
     def rhs(tt, v, out):
         out[:] = radial_rhs(grid, v, tt, run.log_ghosts, False)
 
-    def cfl(tt, v):
-        R = scalar_curvature(grid, v, tt, run.log_ghosts)
-        ric_scale = max(1.0, float(np.max(np.abs(R))))
-        return cfl_bound(float(v.min()), ric_scale, grid.h, safety)
+    def factor(tt, lam, hg):
+        solve = grid.band_solver(lam, hg, boundary is not None)
+        return lambda r: lam * solve(r / lam)
 
     def frame(step, tt, v):
         run.frames.append(Frame(step, tt, v.copy()))
@@ -345,78 +365,76 @@ def run_radial_flow(lam0, r_max, t_end, *, nodes=256, boundary=None,
     def check(tt, v):
         require_positive(v, tt, min_eig_floor, grid.location)
 
-    frame_dt = frame_dt or t_end / 50.0
-    if boundary is None:
-        _, run.steps_taken, _, err = rk4(lam00, t_end, rhs, cfl, check,
-                                         cfl_every=16, frame_dt=frame_dt,
-                                         frame=frame)
-    else:
-        _, run.steps_taken, _, err = sdirk4(
-            lam00, t_end, rhs, lambda tt, v, hg: grid.band_solver(v, hg, 0.0),
-            check, frame_dt=frame_dt, frame=frame)
+    _, run.steps_taken, _, err = sdirk4(lam00, t_end, rhs, factor, check,
+                                        frame_dt=frame_dt or t_end / 50.0,
+                                        frame=frame)
     if err is not None:
         run.broken, run.breakdown = True, str(err)
     return run
 
 
 def run_normalized_radial(lam0, r_max, s_end, *, nodes=128, boundary=None,
-                          safety=1.0, frame_ds=None, h_reference=None,
+                          frame_ds=None, h_reference=None,
                           order=4, min_eig_floor=1e-10) -> RadialRun:
     """Normalized flow d_s lam = ddbar log lam - lam, with the potential pair.
 
     phi solves d_s phi = log(lam/lam(0)) - phi pointwise, so phi' is available
     in closed form at every frame; `boundary(r, s)` supplies Dirichlet ghosts
-    for the metric (typically the exact KE profile, s-independent).
+    for the metric (typically the exact KE profile, s-independent), and None
+    extrapolates.
 
-    With ghosts given, the run steps through `flow.sdirk4` on a banded LU:
-    the flow settles on the KE fixed point long before s_end, where the
-    explicit step would stay at h^2 min lam.  Extrapolated ghosts keep
-    `flow.rk4`, with the CFL step recomputed every 16 steps, as an implicit
-    solve is not exact on constants and that closure amplifies round-off
-    about 1e6-fold.  `safety` only affects the RK4 path.
+    The run steps v = log lam and phi through `flow.sdirk4`, as
+
+        d_s v = ddbar(v) e^-v - 1,    d_s phi = v - v(0) - phi,
+
+    in which flat data is linear in s (v' = -1), so the step is exact there
+    and the extrapolated closure keeps a flat run bitwise uniform.  Its v
+    block is the banded diag(d) - hg A with d = lam + hg ddbar(v), the full
+    Jacobian, diagonal term included, row-scaled by 1/lam.
     """
     grid = RadialGrid(r_max, nodes, order)
-    lam_init = lam0(grid.r) if callable(lam0) else np.asarray(lam0, float).copy()
+    lam_init = lam0(grid.r) if callable(lam0) else np.array(lam0, float)
     y = np.zeros((2, grid.m))
-    y[0] = lam_init
+    v_init = y[0] = np.log(lam_init)
     run = RadialRun(grid=grid, normalized=True, h_reference=h_reference,
                     boundary=boundary)
 
-    def rhs(ss, v, out):
-        out[0] = radial_rhs(grid, v[0], ss, run.log_ghosts, True)
-        np.log(np.divide(v[0], lam_init, out=out[1]), out=out[1])
-        out[1] -= v[1]
+    def rhs(ss, y, out):
+        np.exp(-y[0], out=out[0])
+        out[0] *= grid.ddbar(y[0], run.log_ghosts_at(ss))
+        out[0] -= 1.0
+        np.subtract(y[0], v_init, out=out[1])
+        out[1] -= y[1]
 
-    def frame(step, ss, v):
-        lam, phi = v
-        run.frames.append(Frame(step, ss, lam.copy(), phi=phi.copy(),
-                                phi_prime=np.log(lam / lam_init) - phi))
+    def factor(ss, y, hg):
+        """I - hg J, J = [[diag(e^-v) (A - diag(ddbar v)), 0], [I, -I]]: the
+        v block is diag(1/lam) (diag(d) - hg A), and phi's correction
+        follows from v's."""
+        lam = np.exp(y[0])
+        d = lam + hg * grid.ddbar(y[0], run.log_ghosts_at(ss))
+        solve_v = grid.band_solver(d, hg, boundary is not None)
+        scale = lam / d
 
-    def check(ss, v):
-        require_positive(v[0], ss, min_eig_floor, grid.location)
+        def solve(r):
+            out = np.empty_like(r)
+            out[0] = solve_v(scale * r[0])
+            out[1] = (r[1] + hg * out[0]) / (1.0 + hg)
+            return out
+        return solve
 
-    frame_ds = frame_ds or s_end / 50.0
-    if boundary is None:
-        _, run.steps_taken, _, err = rk4(
-            y, s_end, rhs,
-            lambda ss, v: cfl_bound(float(v[0].min()), 1.0, grid.h, safety),
-            check, cfl_every=16, frame_dt=frame_ds, frame=frame)
-    else:
-        def factor(ss, v, hg):
-            """I - hg J, J = [[A diag(1/lam) - I, 0], [diag(1/lam), -I]]: the
-            lam block is banded, and phi's follows from lam's correction."""
-            solve_lam = grid.band_solver(v[0], hg, 1.0)
-            inv = 1.0 / v[0]
+    def frame(step, ss, y):
+        # the first frame is lam0 as given, not exp(log(lam0)), so that a
+        # second phase starts on the first one's last frame bit for bit
+        lam = np.exp(y[0]) if step else lam_init.copy()
+        run.frames.append(Frame(step, ss, lam, phi=y[1].copy(),
+                                phi_prime=np.log(lam / lam_init) - y[1]))
 
-            def solve(r):
-                d = np.empty_like(r)
-                d[0] = solve_lam(r[0])
-                d[1] = (r[1] + hg * inv * d[0]) / (1.0 + hg)
-                return d
-            return solve
+    def check(ss, y):
+        require_positive(np.exp(y[0]), ss, min_eig_floor, grid.location)
 
-        _, run.steps_taken, _, err = sdirk4(y, s_end, rhs, factor, check,
-                                            frame_dt=frame_ds, frame=frame)
+    _, run.steps_taken, _, err = sdirk4(y, s_end, rhs, factor, check,
+                                        frame_dt=frame_ds or s_end / 50.0,
+                                        frame=frame)
     if err is not None:
         run.broken, run.breakdown = True, str(err)
     return run

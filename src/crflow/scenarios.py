@@ -45,10 +45,25 @@ TORUS_DATA = {
 
 BOUNDARIES = ("exact-homothety", "exact-ke", "extrapolate")
 
-CHECKS = ("exact-homothety-tracking", "flat-stationarity", "scalar-lower-bound",
-          "trace-barrier", "potential-monotonicity", "ke-convergence",
-          "ke-expected-divergence", "scalar-evolution", "potential-equivalence",
-          "trace-identity")
+# check -> the kinds whose runs it reads: the estimates along the
+# unnormalized flow need an unnormalized radial run (a two-phase run's first
+# phase) or the torus, and the potential and KE checks a normalized run
+_UNNORMALIZED = ("radial", "two-phase-normalized")
+_NORMALIZED = ("two-phase-normalized", "radial-normalized")
+CHECK_KINDS = {
+    "exact-homothety-tracking": ("radial", "two-phase-normalized",
+                                 "radial-normalized"),
+    "flat-stationarity": ("torus",),
+    "scalar-lower-bound": _UNNORMALIZED + ("torus",),
+    "trace-barrier": _UNNORMALIZED,
+    "potential-monotonicity": _NORMALIZED,
+    "ke-convergence": _NORMALIZED,
+    "ke-expected-divergence": _NORMALIZED,
+    "scalar-evolution": _UNNORMALIZED + ("torus",),
+    "potential-equivalence": ("torus",),
+    "trace-identity": _UNNORMALIZED,
+}
+CHECKS = tuple(CHECK_KINDS)
 
 DEFAULTS = {
     "seed": 0,
@@ -192,26 +207,40 @@ def load_config(source) -> dict:
         errs.append(f"{kind} needs chart.topology {want!r}, "
                     f"got {chart['topology']!r}")
     if not 0 < fl["safety"] <= 1:
-        errs.append("flow.safety must lie in (0, 1]: cfl_bound caps larger "
-                    "values at h^2 min lambda")
+        errs.append("flow.safety, the torus flows' CFL factor, must lie in "
+                    "(0, 1]: cfl_bound caps larger values at h^2 min lambda")
     if fl["boundary"] not in BOUNDARIES:
         errs.append(f"flow.boundary must be one of {BOUNDARIES}")
     if fl["order"] not in (4, 6):
         errs.append("flow.order must be 4 or 6")
-    errs.extend(f"unknown check {c!r}" for c in cfg.get("checks", [])
-                if c not in CHECKS)
+    for c in cfg.get("checks", []):
+        if c not in CHECK_KINDS:
+            errs.append(f"unknown check {c!r}")
+        elif kind in KINDS and kind not in CHECK_KINDS[c]:
+            errs.append(f"check {c!r} does not fit kind {kind!r}: it runs on "
+                        f"{', '.join(CHECK_KINDS[c])}")
     if errs:
         raise ConfigError(errs)
     return cfg
 
 
+def _exact_flow(cfg):
+    """The exact flow lam(r, t) of a radial config's first run: its datum's
+    unnormalized flow, or, on a radial-normalized run, e^-s lam(r, e^s - 1),
+    the exact normalized flow of any datum."""
+    exact = RADIAL_DATA[cfg["flow"]["initial"]][1]
+    if cfg["kind"] == "radial-normalized":
+        return lambda r, s: np.exp(-s) * exact(r, np.expm1(s))
+    return exact
+
+
 def _radial_datum(cfg):
     """lam0(r) of a radial config's datum, and the field lam(r, t) its
-    ghosts take: the datum's exact flow, the KE profile, or None to
+    ghosts take: the run's exact flow, the KE profile, or None to
     extrapolate."""
     fl = cfg["flow"]
-    profile, exact, _ = RADIAL_DATA[fl["initial"]]
-    ghosts = {"exact-homothety": exact, "extrapolate": None,
+    profile = RADIAL_DATA[fl["initial"]][0]
+    ghosts = {"exact-homothety": _exact_flow(cfg), "extrapolate": None,
               "exact-ke": lambda r, t: RD.ke_lambda(r)}[fl["boundary"]]
     return (lambda r: profile(r, fl["perturbation_amplitude"])), ghosts
 
@@ -263,8 +292,7 @@ def _execute_flow(cfg, result: ScenarioResult):
         return
     rmax = cfg["chart"]["r_max"]
     init, bnd = _radial_datum(cfg)
-    common = dict(nodes=res, safety=fl["safety"], order=fl["order"],
-                  h_reference=_h_lambda(cfg),
+    common = dict(nodes=res, order=fl["order"], h_reference=_h_lambda(cfg),
                   min_eig_floor=fl["min_eig_floor"])
     if kind == "radial":
         result.run = RD.run_radial_flow(init, rmax, fl["t_max"], boundary=bnd,
@@ -295,7 +323,7 @@ def _chk_tracking(cfg, result):
     tol = cfg["tolerances"]["tracking"]
     interior = cfg["tolerances"]["tracking_interior"]
     run = result.phase1 or result.run
-    flow = RADIAL_DATA[cfg["flow"]["initial"]][1]
+    flow = _exact_flow(cfg)
     mask = run.grid.r <= interior
     worst, where = 0.0, None
     for fr in run.frames:

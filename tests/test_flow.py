@@ -181,6 +181,17 @@ def test_sdirk4_cuts_non_finite_iterates_and_underflows():
     assert isinstance(err, FlowBreakdownError) and "underflow" in str(err)
 
 
+def test_sdirk4_starts_from_a_zero_state():
+    """y' = 1 - y from y = 0: the first step is Hairer's floor 1e-6, not
+    1e-2 |y| / |y'| = 0, and the run reaches t = 1 on 1 - e^-1."""
+    y, steps, t, err = sdirk4(np.zeros(1), 1.0,
+                              lambda t, y, out: np.subtract(1.0, y, out=out),
+                              lambda t, y, hg: lambda r: r / (1.0 + hg),
+                              lambda t, y: None)
+    assert err is None and t == 1.0 and steps > 0
+    assert abs(y[0] - (1.0 - np.exp(-1.0))) <= 1e-9
+
+
 def test_disk2d_flow_refuses_nan():
     """A NaN interior node is a breakdown at t = 0, not a silent NaN run."""
     grid = DiskGrid(0.7, 33)

@@ -145,21 +145,38 @@ def test_flat_normalized_run_is_uniform_and_exact():
 
 
 def test_steps_taken_pinned():
-    """Pinned step counts of small runs: RK4 recomputes the CFL step every 16
-    steps and cuts steps to land on frame times; runs with given ghosts go
-    through SDIRK4's error control, here one step per frame on the homothety,
-    and runs with extrapolated ghosts through RK4."""
+    """Pinned step counts of small runs, all through SDIRK4's error control,
+    with steps cut to land on frame times: one step per frame on the
+    homothety with given ghosts, more where the extrapolated closure's
+    error sets the step, and the normalized runs in log lam."""
     run = RD.run_radial_flow(RD.poincare_lambda, 0.7, 0.02, nodes=48, order=6,
                              boundary=lambda r, t: RD.homothety_lambda(r, t))
     assert run.steps_taken == 50
     xrun = RD.run_radial_flow(RD.poincare_lambda, 0.7, 0.02, nodes=48, order=6)
-    assert xrun.steps_taken == 200
+    assert xrun.steps_taken == 56
     lam0 = lambda r: 3.0 * RD.poincare_lambda(r)
     nrun = RD.run_normalized_radial(lam0, 0.8, 0.5, nodes=48,
                                     boundary=lambda r, s: RD.ke_lambda(r))
-    assert nrun.steps_taken == 514
+    assert nrun.steps_taken == 374
     xrun = RD.run_normalized_radial(lam0, 0.8, 0.5, nodes=48)
-    assert xrun.steps_taken == 672
+    assert xrun.steps_taken == 99
+
+
+def _rk4_reference(grid, lam_init, s_end, frame_ds, boundary_log,
+                   normalized):
+    """RK4 frames (s, state) of the lam-form system built from `radial_rhs`,
+    the state (lam,) or (lam, phi), at half the parabolic step limit."""
+    def rhs(s, v, out):
+        out[0] = RD.radial_rhs(grid, v[0], s, boundary_log, normalized)
+        if normalized:
+            out[1] = np.log(v[0] / lam_init) - v[1]
+
+    ref = []
+    rk4(np.stack([lam_init, np.zeros(grid.m)][:1 + normalized]), s_end, rhs,
+        lambda s, v: cfl_bound(float(v[0].min()), 1.0, grid.h, 0.5),
+        lambda s, v: None, frame_dt=frame_ds,
+        frame=lambda step, s, v: ref.append((s, v.copy())))
+    return ref
 
 
 @pytest.mark.parametrize("order, nodes", [(4, 48), (6, 64)])
@@ -172,19 +189,11 @@ def test_sdirk4_unnormalized_frames_match_rk4(order, nodes):
     run = RD.run_radial_flow(lam0, 0.8, 0.2, nodes=nodes, order=order,
                              boundary=bnd, frame_dt=0.01)
     grid = RD.RadialGrid(0.8, nodes, order)
-    blog = lambda r, t: np.log(bnd(r, t))
-
-    def rhs(t, v, out):
-        out[:] = RD.radial_rhs(grid, v, t, blog)
-
-    ref = []
-    rk4(lam0(grid.r), 0.2, rhs,
-        lambda t, v: cfl_bound(float(v.min()), 1.0, grid.h, 0.5),
-        lambda t, v: None, frame_dt=0.01,
-        frame=lambda step, t, v: ref.append((t, v.copy())))
+    ref = _rk4_reference(grid, lam0(grid.r), 0.2, 0.01,
+                         lambda r, t: np.log(bnd(r, t)), False)
     assert [fr.time for fr in run.frames] == [t for t, _ in ref]
     for fr, (_, v) in zip(run.frames, ref):
-        assert np.abs(fr.lam / v - 1.0).max() <= 1e-10
+        assert np.abs(fr.lam / v[0] - 1.0).max() <= 1e-10
 
 
 def test_breakdown_time_is_resolved():
@@ -234,22 +243,36 @@ def test_sdirk4_frames_match_rk4(order, nodes):
     run = RD.run_normalized_radial(lam0, 0.8, 1.0, nodes=nodes, order=order,
                                    boundary=ke, frame_ds=0.05)
     grid = RD.RadialGrid(0.8, nodes, order)
-    lam_init = lam0(grid.r)
-    blog = lambda r, s: np.log(ke(r, s))
-
-    def rhs(s, v, out):
-        out[0] = RD.radial_rhs(grid, v[0], s, blog, True)
-        out[1] = np.log(v[0] / lam_init) - v[1]
-
-    ref = []
-    rk4(np.stack([lam_init, np.zeros(nodes)]), 1.0, rhs,
-        lambda s, v: cfl_bound(float(v[0].min()), 1.0, grid.h, 0.5),
-        lambda s, v: None, frame_dt=0.05,
-        frame=lambda step, s, v: ref.append((s, v.copy())))
+    ref = _rk4_reference(grid, lam0(grid.r), 1.0, 0.05,
+                         lambda r, s: np.log(ke(r, s)), True)
     assert [fr.time for fr in run.frames] == [s for s, _ in ref]
     for fr, (_, v) in zip(run.frames, ref):
         assert np.abs(fr.lam / v[0] - 1.0).max() <= 1e-10
         assert np.abs(fr.phi - v[1]).max() <= 1e-9
+
+
+@pytest.mark.parametrize("order, nodes", [(4, 48), (6, 64)])
+@pytest.mark.parametrize("normalized", [False, True])
+def test_sdirk4_extrapolated_frames_match_rk4(order, nodes, normalized):
+    """Extrapolated-ghost runs (SDIRK4, the normalized one in log lam) from
+    perturbed Poincare data against RK4 on the same semi-discrete system:
+    frame times equal, lam within 1e-10 relative and phi within 1e-9
+    absolute."""
+    lam0 = lambda r: RD.perturbed_poincare_lambda(r, 0.3, support=0.6)
+    grid = RD.RadialGrid(0.8, nodes, order)
+    if normalized:
+        run = RD.run_normalized_radial(lam0, 0.8, 0.5, nodes=nodes,
+                                       order=order, frame_ds=0.05)
+        ref = _rk4_reference(grid, lam0(grid.r), 0.5, 0.05, None, True)
+    else:
+        run = RD.run_radial_flow(lam0, 0.8, 0.2, nodes=nodes, order=order,
+                                 frame_dt=0.01)
+        ref = _rk4_reference(grid, lam0(grid.r), 0.2, 0.01, None, False)
+    assert [fr.time for fr in run.frames] == [s for s, _ in ref]
+    for fr, (_, v) in zip(run.frames, ref):
+        assert np.abs(fr.lam / v[0] - 1.0).max() <= 1e-10
+        if normalized:
+            assert np.abs(fr.phi - v[1]).max() <= 1e-9
 
 
 def test_ke_ghost_normalized_run_breaks_down_at_floor():
@@ -271,15 +294,23 @@ def test_ke_ghost_normalized_run_breaks_down_at_floor():
 
 def test_band_is_the_given_closure_block():
     """`RadialGrid.band` holds the m x m block of the given-closure operator,
-    which has no entries beyond ng off the diagonal."""
+    which has no entries beyond ng off the diagonal, and `band_extrapolated`
+    that of the extrapolated one, whose last row reaches u[m - 4] and whose
+    rows sum to zero (A 1 = 0) to rounding."""
     for order, nodes in ((4, 40), (6, 40), (6, 128)):
         grid = RD.RadialGrid(0.9, nodes, order)
-        ng = grid.ng
-        dense = grid._given.toarray()[:, :nodes]
-        rebuilt = np.zeros_like(dense)
-        for d in range(-ng, ng + 1):
-            rebuilt += np.diag(grid.band[ng - d, max(d, 0):nodes + min(d, 0)], d)
-        assert np.array_equal(rebuilt, dense)
+        ng, lo = grid.ng, max(grid.ng, 3)
+        for band, op in ((grid.band, grid._given),
+                         (grid.band_extrapolated, grid._extrapolated)):
+            dense = op.toarray()[:, :nodes]
+            rebuilt = np.zeros_like(dense)
+            for d in range(-lo, ng + 1):
+                rebuilt += np.diag(band[ng - d, max(d, 0):nodes + min(d, 0)], d)
+            assert np.array_equal(rebuilt, dense)
+        assert not grid.band[2 * ng + 1:].any()
+        assert grid.band_extrapolated[ng + 3, nodes - 4] != 0.0
+        rows = np.abs(dense).sum(axis=1)
+        assert np.abs(dense.sum(axis=1)).max() <= 1e-15 * rows.max()
 
 
 def test_breakdown_frame_is_last_accepted_state():

@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from crflow import radial as RD
 from crflow import scenarios as SC
 from crflow.cli import main
 from crflow.artifacts import (REPORT_SCHEMA, TABLE_SCHEMA, read_run_csv,
@@ -149,6 +151,64 @@ def test_exact_homothety_is_the_datum_s_own_flow():
     flat["metrics"] = {"g0": "euclidean", "h": "euclidean"}
     report = SC.run_scenario(flat)
     assert report["checks"][0]["extra"]["max_rel_error"] == 0.0
+
+
+def _bundled(name):
+    with open(os.path.join(SC.bundled_scenario_dir(), name + ".json")) as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize("base, check", [
+    ("flat-disk-normalized", "scalar-lower-bound"),
+    ("radial", "flat-stationarity"),
+    ("torus", "exact-homothety-tracking"),
+    ("torus", "ke-convergence"),
+])
+def test_config_rejects_a_check_that_does_not_fit_the_kind(base, check):
+    """A check that reads a run the kind does not make is a ConfigError, not
+    an exception inside the check: scalar-lower-bound on a normalized-only
+    run once fell through to its torus branch (KeyError 'box_length')."""
+    cfg = {"radial": FAST_RADIAL, "torus": FAST_TORUS}.get(base) \
+        or _bundled(base)
+    bad = json.loads(json.dumps(cfg))
+    bad["checks"] = [check]
+    with pytest.raises(ConfigError) as ei:
+        SC.load_config(bad)
+    assert len(ei.value.violations) == 1
+    assert f"check {check!r} does not fit kind" in ei.value.violations[0]
+
+
+def test_cli_exit_two_on_a_check_that_does_not_fit_the_kind(tmp_path):
+    bad = _bundled("flat-disk-normalized")
+    bad["checks"].append("scalar-lower-bound")
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(bad))
+    r = CliRunner().invoke(main, ["run", str(p), "-o", str(tmp_path / "o")])
+    assert r.exit_code == 2
+    assert "scalar-lower-bound" in r.output
+
+
+def test_exact_homothety_on_a_normalized_run_is_its_normalized_flow():
+    """radial-normalized from Poincare data (64 nodes, order 6, r_max 0.8)
+    with exact-homothety ghosts: the ghosts are (2 - e^-s)(1 - r^2)^-2, the
+    datum's exact normalized flow, and the run tracks that flow to 1e-7.
+    They were the unnormalized flow read at s, which put the run 145% off
+    at s = 2."""
+    cfg = SC.load_config({
+        "scenario_name": "pn", "kind": "radial-normalized",
+        "chart": {"grid_resolution": 64, "r_max": 0.8},
+        "flow": {"initial": "poincare", "boundary": "exact-homothety",
+                 "order": 6, "s_max": 2.0, "frame_dt": 0.1},
+        "checks": ["exact-homothety-tracking"]})
+    _, ghosts = SC._radial_datum(cfg)
+    r = np.linspace(0.8, 0.9, 5)
+    for s in (0.0, 0.5, 2.0):
+        np.testing.assert_allclose(
+            ghosts(r, s), (2.0 - np.exp(-s)) * RD.poincare_lambda(r),
+            rtol=1e-14, atol=0)
+    report = SC.run_scenario(cfg)
+    assert report["pass"] and report["frames_written"] == 21
+    assert report["checks"][0]["extra"]["max_rel_error"] < 1e-7
 
 
 def test_bundled_scenarios_load():
