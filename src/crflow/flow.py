@@ -13,10 +13,13 @@ and its potential form, with Ric0 = -ddbar log lam0,
 
 Space discretization is the 9-point second-order stencil.  There are two
 steppers, on one loop (`_march`) that owns frames, breakdown and the step
-count: `rk4`, explicit RK4 under a `cfl_bound` step limit, steps these
-flows and the radial potential form; `sdirk4`, an L-stable implicit SDIRK4
-with its own error control, steps every radial metric flow, whatever its
-outer closure, where accuracy allows steps far above the explicit limit.
+count: `sdirk4`, an L-stable implicit SDIRK4 with its own error control,
+steps both torus forms and every radial metric flow, where accuracy allows
+steps far above the explicit limit; `rk4`, explicit RK4 under a `cfl_bound`
+step limit, steps only the masked disk and the radial potential form.  The
+torus runs solve their Newton systems with the constant-coefficient twin
+I - (hg/c) ddbar_periodic, diagonal in Fourier space, by one rfft2/irfft2
+pair (`periodic_solver`).
 `require_positive` is the one positivity guard: it refuses NaN, +-inf and
 values at or below a floor, and breakdown raises `FlowBreakdownError` with
 the offending location.  Hermitian symmetry is exact in this representation
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.fft import irfft2, rfft2
 
 from .errors import FlowBreakdownError
 
@@ -135,22 +139,26 @@ _SDIRK_C = (1 / 4, 3 / 4, 11 / 20, 1 / 2, 1.0)
 _SDIRK_E = (-3 / 16, -27 / 32, 25 / 32, 0.0, 1 / 4)
 
 
-def sdirk4(y, t_end, rhs, factor, check, *, frame_dt=None, frame=None):
+def sdirk4(y, t_end, rhs, factor, check, *, frame_dt=None, frame=None,
+           measure=lambda d: d):
     """L-stable implicit SDIRK4 from t = 0 to t_end on the state array y.
 
     `rhs(t, y, out)` as for `rk4`; a state outside its domain (lam <= 0
     where the state is lam) must come out non-finite, as the log in the
     flows' right-hand sides makes it.  `factor(t, y, hg)` factors I - hg J
-    at the step's start state, J the Jacobian of rhs, and returns
-    `solve(r)`, which gives (I - hg J)^-1 r.  The five stages of a step share
-    that factorization and are solved by simplified Newton.  The step size
-    is controlled on the embedded order-3 error, filtered through the same
-    solve, at `rtol`.  The first step is Hairer's 1e-2 |y| / |y'|, or 1e-6
-    where either size is below 1e-5, as on a zero state.  A step whose
-    Newton iteration turns non-finite or stalls is cut by 4 and retried, so
-    such an iterate is never accepted; a step that falls below 1e-14 (1 + t)
-    is a breakdown.  Frames, `check`, the return value and breakdown are
-    `_march`'s, as for `rk4`.
+    at the step's start state, J the Jacobian of rhs, or an approximation of
+    it, and returns `solve(r)`, which gives (I - hg J)^-1 r.  The five stages
+    of a step share that factorization and are solved by simplified Newton.
+    The step size is controlled on the embedded order-3 error, filtered
+    through the same solve, at `rtol`.  Newton increments and the error are
+    sized as `measure(increment)`, which broadcasts against y: the identity,
+    or the linear map to the quantity whose accuracy counts, as the torus
+    potential form measures psi's increments on lam.  The first step is
+    Hairer's 1e-2 |y| / |y'|, or 1e-6 where either size is below 1e-5, as on
+    a zero state.  A step whose Newton iteration turns non-finite or stalls
+    is cut by 4 and retried, so such an iterate is never accepted; a step
+    that falls below 1e-14 (1 + t) is a breakdown.  Frames, `check`, the
+    return value and breakdown are `_march`'s, as for `rk4`.
     """
     hk = np.empty((5,) + y.shape)       # h times each stage's derivative
     f = np.empty_like(y)
@@ -170,7 +178,7 @@ def sdirk4(y, t_end, rhs, factor, check, *, frame_dt=None, frame=None):
                 rhs(t + c * dt, stage, f)
                 d = solve(z + _GAMMA * dt * f - stage)
                 stage += d
-                dn = size(d, sc)
+                dn = size(measure(d), sc)
                 if not dn < np.inf:
                     return None
                 if prev is not None:
@@ -186,7 +194,7 @@ def sdirk4(y, t_end, rhs, factor, check, *, frame_dt=None, frame=None):
                 return None
             hk[i] = (stage - z) / _GAMMA
         err = solve(sum(e * hk[i] for i, e in enumerate(_SDIRK_E) if e))
-        return stage, size(err, sc)
+        return stage, size(measure(err), sc)
 
     def advance(t, y, step, limit):
         nonlocal h
@@ -270,7 +278,7 @@ class FlowState:
 
 def cfl_bound(min_eig: float, ric_scale: float, grid_step: float,
               safety: float = 0.2) -> float:
-    """Largest admissible explicit step.
+    """Largest admissible explicit step, for the flows that `rk4` steps.
 
     The configured bound safety * h^2 * min_eig / max(1, ric_scale) is
     additionally capped by the parabolic stability limit h^2 * min_eig (the
@@ -281,21 +289,37 @@ def cfl_bound(min_eig: float, ric_scale: float, grid_step: float,
     return min(base, grid_step**2 * min_eig)
 
 
-def cfl_for_state(state: FlowState, safety: float = 0.2) -> float:
-    lam = state.omega_t
-    ric_scale = float(np.max(np.abs(scalar_curvature_periodic(lam, state.h))))
-    return cfl_bound(float(lam.min()), ric_scale, state.h, safety)
+def periodic_solver(n, h):
+    """`solver(lam, hg)` for the torus flows' Newton systems on the n x n grid.
+
+    It returns the solve of I - (hg/c) ddbar_periodic, 1/c the midpoint of
+    1/lam's range: the constant-coefficient twin of both forms' I - hg J.
+    That matrix is diagonal in Fourier space, where ddbar_periodic has the
+    symbol (8 cos p + 8 cos q + 4 cos p cos q - 20) / (24 h^2), so a solve is
+    one rfft2/irfft2 pair over the last two axes.
+    """
+    cos = np.cos(2.0 * np.pi * np.arange(n) / n)
+    cp, cq = cos[:, None], cos[:n // 2 + 1]
+    symbol = (8.0 * cp + 8.0 * cq + 4.0 * cp * cq - 20.0) / (24.0 * h * h)
+
+    def solver(lam, hg):
+        denom = 1.0 - 0.5 * hg * (1.0 / lam.min() + 1.0 / lam.max()) * symbol
+        return lambda r: irfft2(rfft2(r) / denom, s=(n, n))
+    return solver
 
 
-def run_torus_flow(lam0, box_length, t_end, *, mode="metric", safety=0.2,
-                   frame_dt=None):
+def run_torus_flow(lam0, box_length, t_end, *, mode="metric", frame_dt=None):
     """Integrate to t_end, returning (state, frames).
 
     The "metric" mode advances (lam, psi) together, psi by
     d_t psi = log(lam/lam0); the "potential" mode advances psi alone and
-    reconstructs lam.  Frames are (t, lam, psi) triples captured at uniform
-    `frame_dt` targets (default t_end/20); steps are clipped so frames land
-    exactly on target, and the CFL step is recomputed every step.  Raises
+    reconstructs lam.  Both step through `sdirk4`, whose Newton systems are
+    solved with `periodic_solver`: in the metric form for the lam row, with
+    the psi row eliminated exactly (x_psi = r_psi + hg x_lam / lam); in the
+    potential form with c from the reconstruction's range, its increments
+    and error measured on lam, as ddbar of psi's.  Frames are (t, lam, psi)
+    triples captured at uniform `frame_dt` targets (default t_end/20); steps
+    are clipped so frames land exactly on target.  Raises
     FlowBreakdownError when lam falls to 1e-12 or turns non-finite, and
     ValueError for any other mode.
     """
@@ -311,13 +335,26 @@ def run_torus_flow(lam0, box_length, t_end, *, mode="metric", safety=0.2,
     ric0 = -ddbar_periodic(np.log(lam0), h)
     state = FlowState(t=0.0, h=h, omega0=lam0, ric0=ric0,
                       psi=np.zeros_like(lam0), omega_t=lam0)
+    solver = periodic_solver(lam0.shape[0], h)
 
     if mode == "metric":
         y = np.stack([lam0, state.psi])
+        measure = lambda d: d       # lam and psi, each as it is
 
         def rhs(t, v, out):
             out[0] = ddbar_periodic(np.log(v[0]), h)
             np.log(np.divide(v[0], lam0, out=out[1]), out=out[1])
+
+        def factor(t, v, hg):
+            """I - hg J, J = [[ddbar(./lam), 0], [diag(1/lam), 0]]."""
+            solve_lam = solver(v[0], hg)
+
+            def solve(r):
+                out = np.empty_like(r)
+                out[0] = solve_lam(r[0])
+                out[1] = r[1] + hg * out[0] / v[0]
+                return out
+            return solve
 
         def accept(t, v):
             require_positive(v[0], t, 1e-12, node)
@@ -331,7 +368,15 @@ def run_torus_flow(lam0, box_length, t_end, *, mode="metric", safety=0.2,
         def rhs(t, v, out):
             np.log(np.divide(reconstruct(v[0], t), lam0, out=out[0]), out=out[0])
 
-        def accept(t, v):   # the reconstruction it keeps serves the CFL step
+        def factor(t, v, hg):
+            """I - hg J, J = diag(1/lam) ddbar, lam the reconstruction that
+            `accept` kept of the step's start state."""
+            return solver(state.omega_t, hg)
+
+        def measure(d):     # psi's increment, on lam and relative to 1 + lam
+            return ddbar_periodic(d[0], h) / (1.0 + state.omega_t)
+
+        def accept(t, v):
             rec = reconstruct(v[0], t)
             require_positive(rec, t, 1e-12, node)
             state.t, state.omega_t, state.psi = t, rec, v[0]
@@ -340,11 +385,12 @@ def run_torus_flow(lam0, box_length, t_end, *, mode="metric", safety=0.2,
     # with holes that the stacked stage arrays cannot reuse (+3 MB peak RSS
     # on a 128 x 128 metric-form run)
     frames = []
-    _, state.step_count, _, err = rk4(
-        y, t_end, rhs, lambda t, v: cfl_for_state(state, safety), accept,
+    _, state.step_count, _, err = sdirk4(
+        y, t_end, rhs, factor, accept,
         frame_dt=frame_dt or t_end / 20.0,
         frame=lambda step, t, v: frames.append(
-            (t, *np.stack([state.omega_t, state.psi]))))
+            (t, *np.stack([state.omega_t, state.psi]))),
+        measure=measure)
     if err is not None:
         raise err
     return state, frames

@@ -69,7 +69,6 @@ DEFAULTS = {
     "seed": 0,
     "metrics": {"g0": "poincare-disk", "h": "poincare-disk"},
     "flow": {
-        "safety": 1.0,
         "order": 4,
         "frame_dt": None,
         "boundary": "extrapolate",
@@ -119,7 +118,7 @@ def _fits(value, default):
 
 def _shape_errors(raw):
     """(unknown, mistyped) violations: one per key that no default, chart
-    field or top-level field names (a misspelt `flow.safety` would run at its
+    field or top-level field names (a misspelt `flow.frame_dt` would run at its
     default), one per section that is not an object or value unfit for its
     default's type."""
     top = {**DEFAULTS, "chart": CHART_KEYS, "scenario_name": "", "kind": "",
@@ -206,9 +205,6 @@ def load_config(source) -> dict:
     if kind in KINDS and chart.get("topology", want) != want:
         errs.append(f"{kind} needs chart.topology {want!r}, "
                     f"got {chart['topology']!r}")
-    if not 0 < fl["safety"] <= 1:
-        errs.append("flow.safety, the torus flows' CFL factor, must lie in "
-                    "(0, 1]: cfl_bound caps larger values at h^2 min lambda")
     if fl["boundary"] not in BOUNDARIES:
         errs.append(f"flow.boundary must be one of {BOUNDARIES}")
     if fl["order"] not in (4, 6):
@@ -287,8 +283,7 @@ def _execute_flow(cfg, result: ScenarioResult):
     if kind == "torus":
         L = cfg["chart"]["box_length"]
         _, result.torus_frames = run_torus_flow(
-            _torus_datum(cfg), L, fl["t_max"], safety=fl["safety"],
-            frame_dt=fl["frame_dt"])
+            _torus_datum(cfg), L, fl["t_max"], frame_dt=fl["frame_dt"])
         return
     rmax = cfg["chart"]["r_max"]
     init, bnd = _radial_datum(cfg)
@@ -399,8 +394,7 @@ def _chk_equivalence(cfg, result):
     tol = cfg["tolerances"]["equivalence"]
     lam_m = result.torus_frames[-1][1]
     state_p, _ = run_torus_flow(_torus_datum(cfg), cfg["chart"]["box_length"],
-                                result.torus_frames[-1][0], mode="potential",
-                                safety=cfg["flow"]["safety"])
+                                result.torus_frames[-1][0], mode="potential")
     diff = float(np.max(np.abs(state_p.omega_t - lam_m)))
     return estimates._report("potential-equivalence", tol - diff, ("final",),
                              0.0, lam_m.size, sup_difference=diff,

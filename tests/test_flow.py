@@ -7,8 +7,9 @@ import pytest
 from crflow import radial as RD
 from crflow import scenarios as SC
 from crflow.errors import FlowBreakdownError
-from crflow.flow import (DiskGrid, cfl_bound, ddbar_periodic, require_positive,
-                         rk4, run_disk2d_flow, run_torus_flow, sdirk4)
+from crflow.flow import (DiskGrid, cfl_bound, ddbar_periodic, periodic_solver,
+                         require_positive, rk4, run_disk2d_flow, run_torus_flow,
+                         scalar_curvature_periodic, sdirk4)
 
 
 def bumpy_lam0(N, L=1.0, amp=0.05):
@@ -130,18 +131,100 @@ def test_broken_run_frames_its_last_accepted_state_once(floor, frame_times):
     assert len(got) == len(frame_times) + (t > frame_times[-1] + 1e-12)
 
 
-@pytest.mark.parametrize("name, steps", [("bumpy-torus", 180),
-                                         ("flat-torus-stationary", 110)])
+@pytest.mark.parametrize("name, steps", [("bumpy-torus", 20),
+                                         ("flat-torus-stationary", 10)])
 def test_torus_steps_pinned(name, steps):
-    """Step counts of the bundled torus scenarios, in both forms."""
+    """Step counts of the bundled torus scenarios, in both forms: SDIRK4
+    takes one step a frame."""
     cfg = SC.load_config(os.path.join(SC.bundled_scenario_dir(), name + ".json"))
     fl = cfg["flow"]
     for mode in ("metric", "potential"):
         state, frames = run_torus_flow(
             SC._torus_datum(cfg), cfg["chart"]["box_length"], fl["t_max"],
-            mode=mode, safety=fl["safety"], frame_dt=fl["frame_dt"])
+            mode=mode, frame_dt=fl["frame_dt"])
         assert state.step_count == steps
         assert state.t == frames[-1][0] == pytest.approx(fl["t_max"], abs=1e-15)
+
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_periodic_solver_inverts_the_constant_coefficient_matrix(n):
+    """The FFT solve is (I - (hg/c) ddbar_periodic)^-1, 1/c the midpoint of
+    1/lam's range, on random fields: a wrong symbol fails this by far."""
+    rng = np.random.default_rng(n)
+    h, hg = 1.0 / n, 3e-3
+    lam = np.exp(rng.uniform(-1.0, 1.0, (n, n)))
+    k = 0.5 * hg * (1.0 / lam.min() + 1.0 / lam.max())
+    solve = periodic_solver(n, h)(lam, hg)
+    for shape in ((n, n), (1, n, n)):     # the potential form's state is 3-D
+        r = rng.standard_normal(shape)
+        x = solve(r)
+        assert x.shape == shape
+        x, r = x.reshape(n, n), r.reshape(n, n)
+        assert np.max(np.abs(x - k * ddbar_periodic(x, h) - r)) < 1e-12
+
+
+def _rk4_torus_frames(lam0, t_end, frame_dt, mode):
+    """The torus flow stepped by `flow.rk4` under `cfl_bound` at safety 0.2,
+    the step the torus flows took before SDIRK4: a reference in lam."""
+    n = lam0.shape[0]
+    h = 1.0 / n
+    ric0 = -ddbar_periodic(np.log(lam0), h)
+    frames = []
+    if mode == "metric":
+        def lam(t, v):
+            return v[0]
+
+        def rhs(t, v, out):
+            out[0] = ddbar_periodic(np.log(v[0]), h)
+            out[1] = np.log(v[0] / lam0)
+        y = np.stack([lam0, np.zeros_like(lam0)])
+    else:
+        def lam(t, v):
+            return lam0 - t * ric0 + ddbar_periodic(v[0], h)
+
+        def rhs(t, v, out):
+            out[0] = np.log(lam(t, v) / lam0)
+        y = np.zeros((1, n, n))
+
+    def cfl(t, v):
+        lt = lam(t, v)
+        return cfl_bound(float(lt.min()),
+                         float(np.max(np.abs(scalar_curvature_periodic(lt, h)))),
+                         h, 0.2)
+
+    _, _, _, err = rk4(y, t_end, rhs, cfl, lambda t, v: None,
+                       frame_dt=frame_dt,
+                       frame=lambda step, t, v: frames.append((t, lam(t, v))))
+    assert err is None
+    return frames
+
+
+@pytest.mark.parametrize("amp, t_end", [(0.05, 4e-3), (0.5, 1e-3)])
+@pytest.mark.parametrize("mode", ["metric", "potential"])
+def test_torus_sdirk4_frames_match_rk4(amp, t_end, mode):
+    """SDIRK4 frames of both torus forms agree with the RK4 + cfl_bound
+    reference to 1e-9 relative in lam, on bumpy data of amplitude 0.05 and
+    0.5 (lam_max / lam_min = 1.1 and 2.7)."""
+    lam0 = bumpy_lam0(32, amp=amp)
+    _, frames = run_torus_flow(lam0, 1.0, t_end, mode=mode,
+                               frame_dt=t_end / 10)
+    ref = _rk4_torus_frames(lam0, t_end, t_end / 10, mode)
+    assert [t for t, _, _ in frames] == pytest.approx([t for t, _ in ref],
+                                                      abs=1e-15)
+    rel = max(np.max(np.abs(lam - r) / r)
+              for (_, lam, _), (_, r) in zip(frames, ref))
+    assert rel <= 1e-9
+
+
+def test_torus_forms_agree_on_rough_data():
+    """On amplitude 0.5 the potential form, whose error is measured on lam,
+    agrees with the metric form to 1e-10 in lam at every frame."""
+    lam0 = bumpy_lam0(32, amp=0.5)
+    _, fm = run_torus_flow(lam0, 1.0, 2e-3, mode="metric")
+    _, fp = run_torus_flow(lam0, 1.0, 2e-3, mode="potential")
+    assert [f[0] for f in fm] == [f[0] for f in fp]
+    assert max(np.max(np.abs(a[1] - b[1])) for a, b in zip(fm, fp)) <= 1e-10
 
 
 def test_disk2d_steps_pinned():

@@ -20,8 +20,7 @@ FAST_TORUS = {
     "metrics": {"g0": "euclidean", "h": "euclidean"},
     "chart": {"complex_dimension": 1, "topology": "periodic-box",
               "grid_resolution": 16, "box_length": 1.0},
-    "flow": {"initial": "flat", "t_max": 0.004, "frame_dt": 0.001,
-             "safety": 0.2},
+    "flow": {"initial": "flat", "t_max": 0.004, "frame_dt": 0.001},
     "checks": ["flat-stationarity"],
     "seed": 0,
 }
@@ -65,11 +64,13 @@ def test_config_rejects_unknown_keys():
     bad = json.loads(json.dumps(FAST_TORUS))
     bad["chart"]["topologgy"] = "periodic-box"
     bad["flow"]["safty"] = 0.5
+    bad["flow"]["safety"] = 0.2     # retired: no flow a config runs has a CFL step
     bad["frobnicate"] = True
     with pytest.raises(ConfigError) as ei:
         SC.load_config(bad)
     assert ei.value.violations == ["unknown key 'chart.topologgy'",
                                    "unknown key 'flow.safty'",
+                                   "unknown key 'flow.safety'",
                                    "unknown key 'frobnicate'"]
 
 
@@ -96,7 +97,7 @@ def test_config_rejects_values_no_run_honours(section, key, value, needle):
 
 @pytest.mark.parametrize("section, key, value", [
     ("flow", "t_max", "abc"),
-    ("flow", "safety", True),
+    ("flow", "min_eig_floor", True),
     ("flow", "order", 4.0),
     ("flow", None, 5),
     ("chart", None, "x"),
@@ -220,7 +221,8 @@ def test_bundled_scenarios_load():
 
 def test_config_defaults_are_echoed():
     cfg = SC.load_config(FAST_TORUS)
-    assert cfg["flow"]["safety"] == 0.2
+    assert cfg["flow"]["frame_dt"] == 0.001
+    assert cfg["flow"]["order"] == 4
     assert cfg["tolerances"]["stationarity"] == 1e-12
     assert cfg["barrier"]["c1"] == 1.0
 
