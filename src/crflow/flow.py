@@ -430,7 +430,7 @@ class DiskGrid:
 
 
 def run_disk2d_flow(grid: DiskGrid, lam0_fn: Callable, boundary_fn: Callable,
-                    t_end: float, *, normalized=False, safety=0.5):
+                    t_end: float, *, normalized=False):
     """Flow on the masked disk; `boundary_fn(R_array, t)` supplies band values.
 
     `lam0_fn(R_array)` seeds radially symmetric initial data (the use case is
@@ -451,8 +451,7 @@ def run_disk2d_flow(grid: DiskGrid, lam0_fn: Callable, boundary_fn: Callable,
 
     lam, _, t, err = rk4(
         lam0_fn(grid.R), t_end, rhs,
-        lambda t, v: cfl_bound(float(v[grid.interior].min()), 2.0, grid.h,
-                               safety),
+        lambda t, v: cfl_bound(float(v[grid.interior].min()), 2.0, grid.h, 0.5),
         lambda t, v: require_positive(v[grid.interior], t, 0.0, node))
     if err is not None:
         raise err

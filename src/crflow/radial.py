@@ -13,23 +13,25 @@ an exact homothety, for convergence runs) or cubic extrapolation from the
 interior (for identity checks).
 
 Stencils are 4th or 6th order (two or three ghost cells per side).  ddbar
-and d1 are each one sparse operator per outer closure, built by one fold of
-the origin mirror and the outer closure into per-node stencil weights, and
-applied to u - u[0], so they are exactly 0.0 on constants: the extrapolated
-closure grows round-off about 1e6-fold (2-norm of exp((e^3 - 1) A), 64
-nodes) over a flat normalized run to s = 3.  The radial metric flows step
-through `flow.sdirk4`, implicit and L-stable, whichever the closure, each in
-the variable in which its model solution is polynomial in time: the
+and d1 are each one operator per outer closure, built by one fold of the
+origin mirror and the outer closure into per-node stencil weights and kept
+once, as one LAPACK band array of [A B] (A on the nodes, B on the outer
+ghosts).  BLAS `dgbmv` applies that array to (u - u[0], ghosts - u[0]), so
+the operators are exactly 0.0 on constants: the extrapolated closure grows
+round-off about 1e6-fold (2-norm of exp((e^3 - 1) A), 64 nodes) over a flat
+normalized run to s = 3.  The radial metric flows step through
+`flow.sdirk4`, implicit and L-stable, whichever the closure, each in the
+variable in which its model solution is polynomial in time: the
 unnormalized flow in lam (the homothety is linear in t), the normalized
 flow in v = log lam (flat data has v' = -1).  Both factor one banded matrix
-diag(d) - hg A, A the m x m block of the run's closure (`RadialGrid.band`,
-`band_extrapolated`), through its row-scaled twin (`RadialGrid.band_solver`);
-the extrapolated block has A 1 = 0, which keeps a uniform state bitwise
+diag(d) - hg A through its row-scaled twin (`RadialGrid.band_solver`), which
+`dgbtrf` factors from the first m columns of the same ddbar array; the
+extrapolated block has A 1 = 0, which keeps a uniform state bitwise
 uniform.  The explicit step would stay at h^2 min lam however smooth the
 solution: 141,967 steps for the 512-node homothety to t = 0.5, where SDIRK4
-takes 14, and 96,500 for the flat normalized run to s = 3, where it takes
-226.  Only the potential form steps through `flow.rk4` under `cfl_bound`.
-Positivity is guarded with `flow.require_positive`.
+takes 12 (frames every 0.05), and 96,500 for the flat normalized run to
+s = 3, where it takes 226.  Only the potential form steps through `flow.rk4`
+under `cfl_bound`.  Positivity is guarded with `flow.require_positive`.
 
 Exact references on the disk (checked symbolically):
     homothety      lam(r, t) = (1 + 2t) (1 - r^2)^-2      (Ric = -2 g at t=0)
@@ -42,14 +44,10 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy import sparse
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .flow import cfl_bound, require_positive, rk4, sdirk4
-
-# scipy's CSR kernel, called without the dispatch of `@`, which costs about
-# three times the product itself at 64-512 nodes
-from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 # ---------------------------------------------------------------------------
 # exact solutions
@@ -117,22 +115,13 @@ class RadialGrid:
             w2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
         self._lo = lo = max(ng, 3)  # lower bandwidth; extrapolation reads u[m - 4]
         fused = 0.25 * (w2 / self.h**2 + w1 / (self.h * self.r[:, None]))
-        given, extrapolated = self._fold(fused)
-        self._given, self._extrapolated = self._csr(given, extrapolated)
-        self._d1_given, self._d1_extrapolated = self._csr(*self._fold(
-            np.broadcast_to(w1 / self.h, fused.shape)))
+        # (given, extrapolated) band arrays of ddbar and of d1; the first m
+        # columns of ddbar's are its Jacobian in u, as the u - u[0] shift
+        # cancels
+        self._ddbar = tuple(map(self._band, self._fold(fused)))
+        self._d1 = tuple(map(self._band, self._fold(
+            np.broadcast_to(w1 / self.h, fused.shape))))
         self._x = np.zeros(m + ng)
-        # the m x m block A of each ddbar operator in LAPACK's band storage,
-        # `band` the given closure's and `band_extrapolated` the other's,
-        # A[i, i + d] at band[ng - d, i + d]: the Jacobian of ddbar in u, as
-        # the u - u[0] shift cancels
-        self.band, self.band_extrapolated = (np.zeros((lo + ng + 1, m))
-                                             for _ in range(2))
-        for d in range(-lo, ng + 1):
-            rows = slice(max(-d, 0), m - max(d, 0))
-            cols = slice(max(d, 0), m + min(d, 0))
-            self.band[ng - d, cols] = given[rows, lo + d]
-            self.band_extrapolated[ng - d, cols] = extrapolated[rows, lo + d]
         # the row of A that each band entry lies in, for row scaling
         self._band_rows = np.clip(np.arange(m) + np.arange(-ng, lo + 1)[:, None],
                                   0, m - 1)
@@ -165,41 +154,40 @@ class RadialGrid:
                 row[4 + k] = 0.0
         return given, extrapolated
 
-    def _csr(self, given, extrapolated):
-        """The two m x (m + ng) CSR operators of `_fold`'s weights; the zero
-        weights outside an operator point at x[0] and, extrapolating, at
-        x[m - 1], never at stale ghost values."""
+    def _band(self, weights):
+        """`_fold`'s per-node weights as [A B], m x (m + ng), in LAPACK's band
+        storage: [A B][i, j] at [ng + i - j, j], lower bandwidth lo and upper
+        ng, Fortran-ordered for `dgbmv` and `dgbtrf`."""
         m, ng, lo = self.m, self.ng, self._lo
-        cols = np.arange(m)[:, None] + np.arange(-lo, ng + 1)
-        return tuple(sparse.csr_array(
-            (band.ravel(), np.clip(cols, 0, last).ravel(),
-             np.arange(0, band.size + 1, band.shape[1])), shape=(m, m + ng))
-            for band, last in ((given, m + ng - 1), (extrapolated, m - 1)))
+        band = np.zeros((lo + ng + 1, m + ng), order="F")
+        for d in range(-lo, ng + 1):                # diagonal j - i = d
+            band[ng - d, max(d, 0):m + d] = weights[max(-d, 0):, lo + d]
+        return band
 
-    def _apply(self, given, extrapolated, u, outer):
-        """A @ (u - u[0]) + B @ (outer - u[0]) for a folded pair: the rows of
-        [A B] sum to zero, so the shift changes only rounding, and a constant
-        gives exactly 0.0."""
+    def _apply(self, bands, u, outer):
+        """[A B] @ (u - u[0], outer - u[0]) for a (given, extrapolated) pair:
+        the rows of [A B] sum to zero, so the shift changes only rounding, and
+        a constant gives exactly 0.0.  Extrapolating, B is zero and the ghost
+        slots are zeroed, never stale."""
         m, x = self.m, self._x
         u0 = u[0]
         np.subtract(u, u0, out=x[:m])
         if outer is None:
-            op = extrapolated
+            band = bands[1]
+            x[m:] = 0.0
         else:
+            band = bands[0]
             np.subtract(outer, u0, out=x[m:])
-            op = given
-        out = np.zeros(m)
-        _csr_matvec(m, m + self.ng, op.indptr, op.indices, op.data, x, out)
-        return out
+        return dgbmv(m, m + self.ng, self._lo, self.ng, 1.0, band, x)
 
     def d1(self, u, outer=None):
         """u_r, with the closures of `ddbar`."""
-        return self._apply(self._d1_given, self._d1_extrapolated, u, outer)
+        return self._apply(self._d1, u, outer)
 
     def ddbar(self, u, outer=None):
         """(u_rr + u_r/r)/4 with the even-mirror origin closure; outer ghosts
         given or extrapolated."""
-        return self._apply(self._given, self._extrapolated, u, outer)
+        return self._apply(self._ddbar, u, outer)
 
     def band_solver(self, d, hg, given):
         """`solve(p)` = N^-1 p from one banded LU of N = I - hg diag(1/d) A,
@@ -207,10 +195,10 @@ class RadialGrid:
         twin of diag(d) - hg A, the SDIRK4 matrix of both radial forms.  The
         extrapolated block has A 1 = 0, so N 1 = 1 and the solve is
         p[0] + N^-1 (p - p[0]): a uniform p comes out bitwise uniform."""
-        lo, ng = self._lo, self.ng
-        band = self.band if given else self.band_extrapolated
-        lu = np.empty((2 * lo + ng + 1, self.m), order="F")  # lo rows of fill-in
-        np.multiply(band, (-hg / d)[self._band_rows], out=lu[lo:])
+        m, lo, ng = self.m, self._lo, self.ng
+        band = self._ddbar[0 if given else 1]
+        lu = np.empty((2 * lo + ng + 1, m), order="F")  # lo rows of fill-in
+        np.multiply(band[:, :m], (-hg / d)[self._band_rows], out=lu[lo:])
         lu[lo + ng] += 1.0
         _, piv, _ = dgbtrf(lu, lo, ng, overwrite_ab=1)
         if given:
@@ -257,12 +245,6 @@ def radial_rhs(grid: RadialGrid, lam, t, boundary_log=None, normalized=False):
     return dd - lam if normalized else dd
 
 
-def scalar_curvature(grid: RadialGrid, lam, t=0.0, boundary_log=None):
-    """Chern scalar R = -ddbar(log lam)/lam on the nodes."""
-    u = np.log(lam)
-    return -grid.ddbar(u, _ghosts_for(boundary_log, grid, t)) / lam
-
-
 # ---------------------------------------------------------------------------
 # full runs with frames
 # ---------------------------------------------------------------------------
@@ -305,7 +287,9 @@ class RadialRun:
         return float(np.max(np.abs(resid / fr.lam)))
 
     def scalar_field(self, fr: Frame):
-        return scalar_curvature(self.grid, fr.lam, fr.time, self.log_ghosts)
+        """Chern scalar R = -ddbar(log lam)/lam on the nodes."""
+        dd = radial_rhs(self.grid, fr.lam, fr.time, self.log_ghosts)
+        return -dd / fr.lam
 
     def diagnostics_rows(self):
         """Per-frame monitor row: the run CSV contract."""
@@ -345,7 +329,8 @@ def run_radial_flow(lam0, r_max, t_end, *, nodes=256, boundary=None,
     diag(lam) - hg A, A the block of the run's closure, as
     (I - hg A diag(1/lam))^-1 r = lam (diag(lam) - hg A)^-1 r: a homothety
     is linear in t, so steps in lam are as long as the frames allow.
-    `safety` is accepted and unused, as no radial metric run has a CFL step.
+    `safety` is accepted and unused, as no radial metric run has a CFL step;
+    it stays only because perfbench's `homothety-512` workload passes it.
     """
     grid = RadialGrid(r_max, nodes, order)
     lam00 = lam0(grid.r) if callable(lam0) else np.asarray(lam0, float).copy()
@@ -441,7 +426,7 @@ def run_normalized_radial(lam0, r_max, s_end, *, nodes=128, boundary=None,
 
 
 def run_radial_potential_flow(lam0, r_max, t_end, *, nodes=256, boundary_psi=None,
-                              boundary_lam=None, safety=1.0, order=4):
+                              boundary_lam=None, order=4):
     """Potential-form radial flow; returns (grid, psi, lam_reconstructed, t).
 
     d_t psi = log((lam0 - t Ric0 + ddbar psi)/lam0); the reconstruction
@@ -463,7 +448,7 @@ def run_radial_potential_flow(lam0, r_max, t_end, *, nodes=256, boundary_psi=Non
         np.log(np.divide(reconstruct(v[0], tt), lam00, out=out[0]), out=out[0])
 
     def cfl(tt, v):
-        return cfl_bound(float(reconstruct(v[0], tt).min()), 2.0, grid.h, safety)
+        return cfl_bound(float(reconstruct(v[0], tt).min()), 2.0, grid.h, 1.0)
 
     y, _, t, err = rk4(
         np.zeros((1, grid.m)), t_end, rhs, cfl,
@@ -524,8 +509,8 @@ def normalize(run: RadialRun, s: float) -> NormalizedFlowState:
 
     g_tilde = np.exp(-s) * lam_at(t_target)
     phi_prime = np.log(g_tilde / lam1) - phi
-    ghosts = run.log_ghosts_at(t_target)      # log g~ = log lam - s
-    resid = run.grid.ddbar(np.log(g_tilde),
-                           None if ghosts is None else ghosts - s) - g_tilde
+    ghosts = run.log_ghosts                     # log g~ = log lam - s
+    shifted = None if ghosts is None else lambda r, t: ghosts(r, t) - s
+    resid = radial_rhs(run.grid, g_tilde, t_target, shifted, normalized=True)
     ke = float(np.max(np.abs(resid / g_tilde)))
     return NormalizedFlowState(s, g_tilde, phi, phi_prime, ke)

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crflow import radial as RD
 from crflow.errors import FlowBreakdownError
@@ -292,25 +293,81 @@ def test_ke_ghost_normalized_run_breaks_down_at_floor():
     assert steps == sorted(set(steps))
 
 
+def _dense(band, m, ng):
+    """[A B] rebuilt from its band storage, [A B][i, j] at [ng + i - j, j]."""
+    dense = np.zeros((m, band.shape[1]))
+    for k in range(band.shape[0]):
+        d = ng - k                                  # diagonal j - i
+        cols = np.arange(max(d, 0), min(m + d, band.shape[1]))
+        dense[cols - d, cols] = band[k, cols]
+    return dense
+
+
 def test_band_is_the_given_closure_block():
-    """`RadialGrid.band` holds the m x m block of the given-closure operator,
-    which has no entries beyond ng off the diagonal, and `band_extrapolated`
-    that of the extrapolated one, whose last row reaches u[m - 4] and whose
-    rows sum to zero (A 1 = 0) to rounding."""
+    """ddbar keeps one band array per closure, holding that closure's [A B]:
+    `_band` places `_fold`'s per-node weights, and `ddbar` applies them.  The
+    given block has no entries beyond ng off the diagonal; the extrapolated
+    one, with no ghost columns, has a last row that reaches u[m - 4] and rows
+    that sum to zero (A 1 = 0) to rounding.  `band_solver(d, hg, given)`
+    solves N x = p, N = I - hg diag(1/d) A with A from ddbar of unit vectors,
+    to a normwise backward error |N x - p| / (|N| |x| + |p|) of at most 1e-14
+    in the max norm."""
+    rng = np.random.default_rng(5)
     for order, nodes in ((4, 40), (6, 40), (6, 128)):
         grid = RD.RadialGrid(0.9, nodes, order)
         ng, lo = grid.ng, max(grid.ng, 3)
-        for band, op in ((grid.band, grid._given),
-                         (grid.band_extrapolated, grid._extrapolated)):
-            dense = op.toarray()[:, :nodes]
-            rebuilt = np.zeros_like(dense)
-            for d in range(-lo, ng + 1):
-                rebuilt += np.diag(band[ng - d, max(d, 0):nodes + min(d, 0)], d)
-            assert np.array_equal(rebuilt, dense)
-        assert not grid.band[2 * ng + 1:].any()
-        assert grid.band_extrapolated[ng + 3, nodes - 4] != 0.0
-        rows = np.abs(dense).sum(axis=1)
-        assert np.abs(dense.sum(axis=1)).max() <= 1e-15 * rows.max()
+        weights = rng.standard_normal((nodes, lo + 1 + ng))
+        placed = np.zeros((nodes, nodes + ng))
+        for i in range(nodes):                # [i, b] weighs x[i + b - lo]
+            for b in range(max(lo - i, 0), lo + 1 + ng):
+                placed[i, i + b - lo] = weights[i, b]
+        assert np.array_equal(_dense(grid._band(weights), nodes, ng), placed)
+        d = RD.poincare_lambda(grid.r) * (1.0 + 0.5 * rng.random(nodes))
+        for band, outer in zip(grid._ddbar, (np.zeros(ng), None)):
+            dense = _dense(band, nodes, ng)
+            # exact from column 1 on, where u[0] = 0; to rounding in column 0
+            A = np.stack([grid.ddbar(e, outer) for e in np.eye(nodes)], axis=1)
+            assert np.array_equal(A[:, 1:], dense[:, 1:nodes])
+            if outer is not None:             # u = 0: ddbar is B exactly
+                for k in range(ng):
+                    assert np.array_equal(
+                        grid.ddbar(np.zeros(nodes), np.eye(ng)[k]),
+                        dense[:, nodes + k])
+            for hg in (1e-4, 1e-2, 1.0):
+                N = np.eye(nodes) - hg * A / d[:, None]
+                solve = grid.band_solver(d, hg, outer is not None)
+                for p in (rng.standard_normal(nodes), np.ones(nodes)):
+                    x = solve(p)
+                    assert np.abs(N @ x - p).max() <= 1e-14 * (
+                        np.abs(N).sum(axis=1).max() * np.abs(x).max()
+                        + np.abs(p).max())
+        given_band, extrapolated_band = grid._ddbar
+        assert not given_band[2 * ng + 1:].any()
+        assert extrapolated_band[ng + 3, nodes - 4] != 0.0
+        assert not extrapolated_band[:, nodes:].any()
+        A = _dense(extrapolated_band, nodes, ng)[:, :nodes]
+        rows = np.abs(A).sum(axis=1)
+        assert np.abs(A.sum(axis=1)).max() <= 1e-15 * rows.max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.sampled_from([4, 6]), nodes=st.integers(8, 600),
+       r_max=st.floats(0.05, 0.99))
+def test_stencils_are_exact_on_even_polynomials(order, nodes, r_max):
+    """ddbar(r^2k) = k^2 r^(2k-2) and d1(r^2k) = 2k r^(2k-1) to 8 eps/h^2,
+    for 2k up to the stencil order with given ghosts r_out^2k, and for k <= 1
+    with the cubic extrapolation."""
+    grid = RD.RadialGrid(r_max, nodes, order)
+    r, r_out = grid.r, grid.outer_ghost_radii()
+    tol = 8.0 * np.finfo(float).eps / grid.h**2
+    for k in range(order // 2 + 1):
+        for outer in (r_out ** (2 * k), None):
+            if outer is None and k > 1:
+                continue
+            assert np.abs(grid.ddbar(r ** (2 * k), outer)
+                          - k * k * r ** (2 * k - 2)).max() <= tol
+            assert np.abs(grid.d1(r ** (2 * k), outer)
+                          - 2 * k * r ** (2 * k - 1)).max() <= tol
 
 
 def test_breakdown_frame_is_last_accepted_state():
