@@ -2,7 +2,7 @@
 
     crflow run <config.json>       execute one scenario, write artifacts
     crflow verify <manifest.json>  run a suite, aggregate the master table
-    crflow list-metrics            show the metric catalog
+    crflow list-metrics            show the pointwise metric catalog
     crflow plot <run-dir>          SVG line plots from a run's CSV
 
 Output root: --output, else $CRFLOW_OUTPUT_ROOT, else ./crflow-out.
@@ -91,7 +91,10 @@ def verify_cmd(manifest, output):
 
 @main.command("list-metrics")
 def list_cmd():
-    """Show the named metric catalog."""
+    """Show the pointwise metric catalog (`metrics.resolve_metric` keys).
+
+    These are not config keys: a scenario's metrics.h is one of
+    `scenarios.H_METRICS` (euclidean, poincare-disk, hyperbolic-ke)."""
     for key, doc in list_metrics().items():
         click.echo(f"{key:38s} {doc}")
 

@@ -15,7 +15,7 @@ import numpy as np
 from .curvature import ricci_from
 from .errors import InputsNotKEError
 from .metrics import MetricProvider
-from .radial import RadialRun, poincare_lambda
+from .radial import RadialRun
 
 
 @dataclass
@@ -53,6 +53,18 @@ class EstimateReport:
 def _report(name, slack, location, tol, samples, **extra):
     return EstimateReport(name, bool(slack >= -tol), float(slack),
                           location, tol, samples, dict(extra))
+
+
+def _uniform_triples(times):
+    """The frames k whose neighbours k - 1 and k + 1 lie at equal gaps, where
+    a centered difference in time is second order: a short last gap (a
+    horizon that is not a multiple of the frame step) is skipped."""
+    ks = [k for k in range(1, len(times) - 1)
+          if abs((times[k + 1] - times[k]) - (times[k] - times[k - 1]))
+          <= 1e-12 * (times[k + 1] - times[k - 1])]
+    if not ks:
+        raise ValueError("need at least three frames at equal gaps")
+    return ks
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +179,12 @@ def scalar_evolution_residual_radial(run: RadialRun, interior=0.9,
     multiple measured at the run's resolution.
     """
     frames = run.frames
-    if len(frames) < 3:
-        raise ValueError("need at least three frames")
     mask = run.grid.r <= interior * run.grid.r_max
     worst, where = 0.0, None
     count = 0
-    for k in range(1, len(frames) - 1):
+    for k in _uniform_triples([fr.time for fr in frames]):
         fm, f0, fp = frames[k - 1], frames[k], frames[k + 1]
-        dtm = f0.time - fm.time
         dtp = fp.time - fm.time
-        if abs((fp.time - f0.time) - dtm) > 1e-12 * max(dtm, 1e-30):
-            continue  # non-uniform frame spacing; skip
         Rm = run.scalar_field(fm)
         R0 = run.scalar_field(f0)
         Rp = run.scalar_field(fp)
@@ -280,8 +287,6 @@ def scalar_evolution_residual_torus(frames, box_length, tolerance=None,
     is the route for grid-convergence studies.
     """
     from .flow import ddbar_periodic, ddbar_periodic_4th
-    if len(frames) < 3:
-        raise ValueError("need at least three frames")
     h = box_length / frames[0][1].shape[0]
     op = ddbar_periodic_4th if independent_ops else ddbar_periodic
 
@@ -290,12 +295,10 @@ def scalar_evolution_residual_torus(frames, box_length, tolerance=None,
 
     worst, where = 0.0, None
     count = 0
-    for k in range(1, len(frames) - 1):
+    for k in _uniform_triples([fr[0] for fr in frames]):
         tm, lm, _ = frames[k - 1]
         t0, l0, _ = frames[k]
         tp, lp, _ = frames[k + 1]
-        if abs((tp - t0) - (t0 - tm)) > 1e-12 * max(tp - tm, 1e-30):
-            continue
         Rm, R0, Rp = scal(lm), scal(l0), scal(lp)
         dtR = (Rp - Rm) / (tp - tm)
         lapR = op(R0, h) / l0
@@ -358,51 +361,44 @@ def uniqueness_F_check(omega1: MetricProvider, omega2: MetricProvider,
 # trace evolution identity on run frames (radial, n = 1)
 # ---------------------------------------------------------------------------
 
-def trace_identity_on_run(run: RadialRun, h_kind="euclidean",
-                          interior=0.85) -> dict:
+def trace_identity_on_run(run: RadialRun, interior=0.85) -> dict:
     """Heat residual of the trace evolution from consecutive frames.
 
     For n = 1 the torsion terms vanish and the identity reduces to
 
         (d_t - Delta) Lambda = -(h/lam^2) |Psi|^2 + hatR_1111 / lam^2
 
-    with Psi the connection difference and hatR the curvature of h.  Lambda,
-    its time derivative (centered frame differencing) and its Laplacian
-    (the run's radial stencils) are computed independently of the right side.
-
-    h_kind: "euclidean" (h = |dz|^2, hatR = 0) or "poincare" (h = g0,
-    hatR_1111 = -2 h^2).  Returns max |residual| over interior nodes and
-    interior frames.
+    with Lambda = tr_g h, Psi the connection difference and hatR the
+    curvature of h = lam_h |dz|^2, the run's `h_reference`.  Lambda, its time
+    derivative (centered frame differencing) and its Laplacian (the run's
+    radial stencils) are computed independently of the right side, whose
+    d log lam_h and hatR_1111 = -lam_h ddbar(log lam_h) come from the same
+    stencils, with exact ghosts from the profile.  Returns max |residual|
+    over interior nodes and interior frames.
     """
-    frames = run.frames
-    if len(frames) < 3:
-        raise ValueError("need at least three frames")
-    r = run.grid.r
-    mask = r <= interior * run.grid.r_max
-    if h_kind == "euclidean":
-        lam_h = np.ones_like(r)
-        dlog_h = np.zeros_like(r)
-        Rhat1111 = np.zeros_like(r)
-    elif h_kind == "poincare":
-        lam_h = poincare_lambda(r)
-        dlog_h = 4.0 * r / (1.0 - r**2)          # d/dr log lam_h
-        Rhat1111 = -2.0 * lam_h**2
-    else:
-        raise ValueError("h_kind must be euclidean or poincare")
+    if run.h_reference is None:
+        raise ValueError("run has no h reference for the trace identity")
+    frames, grid = run.frames, run.grid
+    mask = grid.r <= interior * grid.r_max
+    lam_h = run.h_reference(grid.r)
+    log_h = np.log(lam_h)
+    log_h_ghosts = np.log(run.h_reference(grid.outer_ghost_radii()))
+    dlog_h = grid.d1(log_h, log_h_ghosts)
+    Rhat1111 = -lam_h * grid.ddbar(log_h, log_h_ghosts)
 
     worst = 0.0
     rows = []
-    for k in range(1, len(frames) - 1):
+    for k in _uniform_triples([fr.time for fr in frames]):
         fm, f0, fp = frames[k - 1], frames[k], frames[k + 1]
         dtp = fp.time - fm.time
         Lm = lam_h / fm.lam
         L0 = lam_h / f0.lam
         Lp = lam_h / fp.lam
         dtL = (Lp - Lm) / dtp
-        lapL = run.grid.ddbar(L0) / f0.lam
+        lapL = grid.ddbar(L0) / f0.lam
         # |Psi|^2 = (dlog_h - dlog_lam)^2 / 4 for radial profiles
         u = np.log(f0.lam)
-        dlog_lam = run.grid.d1(u, run.log_ghosts_at(f0.time))
+        dlog_lam = grid.d1(u, run.log_ghosts_at(f0.time))
         psi_sq = (dlog_h - dlog_lam) ** 2 / 4.0
         term_I = -(lam_h / f0.lam**2) * psi_sq
         term_III = Rhat1111 / f0.lam**2
@@ -410,4 +406,4 @@ def trace_identity_on_run(run: RadialRun, h_kind="euclidean",
         m = float(np.max(np.abs(resid[mask])))
         rows.append({"t": f0.time, "max_residual": m})
         worst = max(worst, m)
-    return {"max_residual": worst, "frames": rows, "h_kind": h_kind}
+    return {"max_residual": worst, "frames": rows}

@@ -18,7 +18,6 @@ import numpy as np
 from . import artifacts, estimates, radial as RD
 from .errors import ConfigError, FlowBreakdownError, ManifestError
 from .flow import run_torus_flow, scalar_curvature_periodic
-from .metrics import resolve_metric
 
 KINDS = ("radial", "two-phase-normalized", "radial-normalized", "torus")
 
@@ -43,31 +42,22 @@ TORUS_DATA = {
                                        * np.cos(2 * np.pi * Y / L)),
 }
 
-BOUNDARIES = ("exact-homothety", "exact-ke", "extrapolate")
-
-# check -> the kinds whose runs it reads: the estimates along the
-# unnormalized flow need an unnormalized radial run (a two-phase run's first
-# phase) or the torus, and the potential and KE checks a normalized run
-_UNNORMALIZED = ("radial", "two-phase-normalized")
-_NORMALIZED = ("two-phase-normalized", "radial-normalized")
-CHECK_KINDS = {
-    "exact-homothety-tracking": ("radial", "two-phase-normalized",
-                                 "radial-normalized"),
-    "flat-stationarity": ("torus",),
-    "scalar-lower-bound": _UNNORMALIZED + ("torus",),
-    "trace-barrier": _UNNORMALIZED,
-    "potential-monotonicity": _NORMALIZED,
-    "ke-convergence": _NORMALIZED,
-    "ke-expected-divergence": _NORMALIZED,
-    "scalar-evolution": _UNNORMALIZED + ("torus",),
-    "potential-equivalence": ("torus",),
-    "trace-identity": _UNNORMALIZED,
+# metrics.h -> (lam_h(r), the kinds it fits), the one place the reference
+# metric h = lam_h |dz|^2 is defined: the trace barrier, the trace identity
+# and the CSV's sup_lambda = tr_g h all read it.  The torus is flat, and
+# fits the flat h only.
+_RADIAL = ("radial", "two-phase-normalized", "radial-normalized")
+H_METRICS = {
+    "euclidean": (lambda r: np.ones_like(r), KINDS),
+    "poincare-disk": (RD.poincare_lambda, _RADIAL),
+    "hyperbolic-ke": (RD.ke_lambda, _RADIAL),
 }
-CHECKS = tuple(CHECK_KINDS)
+
+BOUNDARIES = ("exact-homothety", "exact-ke", "extrapolate")
 
 DEFAULTS = {
     "seed": 0,
-    "metrics": {"g0": "poincare-disk", "h": "poincare-disk"},
+    "metrics": {"h": "poincare-disk"},
     "flow": {
         "order": 4,
         "frame_dt": None,
@@ -170,12 +160,6 @@ def load_config(source) -> dict:
     kind, fl, chart = cfg.get("kind"), cfg["flow"], cfg.get("chart", {})
     if kind not in KINDS:
         errs.append(f"kind must be one of {KINDS}, got {kind!r}")
-    for slot in ("g0", "h"):
-        try:
-            resolve_metric(cfg["metrics"][slot])
-        except (KeyError, ValueError):
-            errs.append(f"metrics.{slot}: unknown catalog key "
-                        f"{cfg['metrics'][slot]!r}")
     if not chart.get("grid_resolution", 0) >= 8:
         errs.append("chart.grid_resolution must be an integer >= 8")
     data = TORUS_DATA if kind == "torus" else RADIAL_DATA
@@ -209,12 +193,18 @@ def load_config(source) -> dict:
         errs.append(f"flow.boundary must be one of {BOUNDARIES}")
     if fl["order"] not in (4, 6):
         errs.append("flow.order must be 4 or 6")
+    h = cfg["metrics"]["h"]
+    if h not in H_METRICS:
+        errs.append(f"metrics.h must be one of {tuple(H_METRICS)}, got {h!r}")
+    elif kind in KINDS and kind not in H_METRICS[h][1]:
+        errs.append(f"metrics.h {h!r} does not fit kind {kind!r}: it fits "
+                    f"{', '.join(H_METRICS[h][1])}")
     for c in cfg.get("checks", []):
-        if c not in CHECK_KINDS:
+        if c not in CHECKS:
             errs.append(f"unknown check {c!r}")
-        elif kind in KINDS and kind not in CHECK_KINDS[c]:
+        elif kind in KINDS and kind not in CHECKS[c][0]:
             errs.append(f"check {c!r} does not fit kind {kind!r}: it runs on "
-                        f"{', '.join(CHECK_KINDS[c])}")
+                        f"{', '.join(CHECKS[c][0])}")
     if errs:
         raise ConfigError(errs)
     return cfg
@@ -239,16 +229,6 @@ def _radial_datum(cfg):
     ghosts = {"exact-homothety": _exact_flow(cfg), "extrapolate": None,
               "exact-ke": lambda r, t: RD.ke_lambda(r)}[fl["boundary"]]
     return (lambda r: profile(r, fl["perturbation_amplitude"])), ghosts
-
-
-def _h_lambda(cfg):
-    key = cfg["metrics"]["h"]
-    if key == "euclidean":
-        return lambda r: np.ones_like(r)
-    if key in ("poincare-disk", "hyperbolic-ke"):
-        factor = 2.0 if key == "hyperbolic-ke" else 1.0
-        return lambda r: RD.poincare_lambda(r, factor)
-    raise ConfigError([f"h metric {key!r} has no radial profile"])
 
 
 class ScenarioResult:
@@ -287,7 +267,8 @@ def _execute_flow(cfg, result: ScenarioResult):
         return
     rmax = cfg["chart"]["r_max"]
     init, bnd = _radial_datum(cfg)
-    common = dict(nodes=res, order=fl["order"], h_reference=_h_lambda(cfg),
+    common = dict(nodes=res, order=fl["order"],
+                  h_reference=H_METRICS[cfg["metrics"]["h"]][0],
                   min_eig_floor=fl["min_eig_floor"])
     if kind == "radial":
         result.run = RD.run_radial_flow(init, rmax, fl["t_max"], boundary=bnd,
@@ -403,27 +384,29 @@ def _chk_equivalence(cfg, result):
 
 def _chk_trace_identity(cfg, result):
     tol = cfg["tolerances"]["trace_identity"]
-    run = result.phase1 or result.run
-    h_kind = "poincare" if cfg["metrics"]["h"] in ("poincare-disk",
-                                                   "hyperbolic-ke") else "euclidean"
-    out = estimates.trace_identity_on_run(run, h_kind)
+    out = estimates.trace_identity_on_run(result.phase1 or result.run)
     worst = out["max_residual"]
     return estimates._report("trace-identity", tol - worst, ("max",), 0.0,
                              len(out["frames"]), max_residual=worst,
-                             tolerance_level=tol, h_kind=h_kind)
+                             tolerance_level=tol)
 
 
-_CHECK_FNS = {
-    "exact-homothety-tracking": _chk_tracking,
-    "flat-stationarity": _chk_stationarity,
-    "scalar-lower-bound": _chk_scalar_lower,
-    "trace-barrier": _chk_barrier,
-    "potential-monotonicity": _chk_monotonicity,
-    "ke-convergence": lambda c, r: _chk_ke(c, r, False),
-    "ke-expected-divergence": lambda c, r: _chk_ke(c, r, True),
-    "scalar-evolution": _chk_scalar_evolution,
-    "potential-equivalence": _chk_equivalence,
-    "trace-identity": _chk_trace_identity,
+# check -> (the kinds whose runs it reads, its function): the estimates along
+# the unnormalized flow need an unnormalized radial run (a two-phase run's
+# first phase) or the torus, and the potential and KE checks a normalized run
+_UNNORMALIZED = ("radial", "two-phase-normalized")
+_NORMALIZED = ("two-phase-normalized", "radial-normalized")
+CHECKS = {
+    "exact-homothety-tracking": (_RADIAL, _chk_tracking),
+    "flat-stationarity": (("torus",), _chk_stationarity),
+    "scalar-lower-bound": (_UNNORMALIZED + ("torus",), _chk_scalar_lower),
+    "trace-barrier": (_UNNORMALIZED, _chk_barrier),
+    "potential-monotonicity": (_NORMALIZED, _chk_monotonicity),
+    "ke-convergence": (_NORMALIZED, lambda c, r: _chk_ke(c, r, False)),
+    "ke-expected-divergence": (_NORMALIZED, lambda c, r: _chk_ke(c, r, True)),
+    "scalar-evolution": (_UNNORMALIZED + ("torus",), _chk_scalar_evolution),
+    "potential-equivalence": (("torus",), _chk_equivalence),
+    "trace-identity": (_UNNORMALIZED, _chk_trace_identity),
 }
 
 
@@ -434,12 +417,12 @@ _CHECK_FNS = {
 def _csv_rows(result: ScenarioResult):
     rows = []
     if result.torus_frames is not None:
-        lam0 = result.torus_frames[0][1]
-        L_h = result.cfg["chart"]["box_length"] / lam0.shape[0]
+        L_h = (result.cfg["chart"]["box_length"]
+               / result.torus_frames[0][1].shape[0])
         for i, (t, lam, _) in enumerate(result.torus_frames):
             R = scalar_curvature_periodic(lam, L_h)
-            rows.append({"step": i, "time": t,
-                         "sup_lambda": float(np.max(lam0 / lam)),
+            rows.append({"step": i, "time": t,     # tr_g h, h the flat metric
+                         "sup_lambda": float(np.max(1.0 / lam)),
                          "inf_tR": float(np.min(t * R)),
                          "ke_residual": "",
                          "min_eig": float(np.min(lam)),
@@ -464,7 +447,9 @@ def run_scenario(config, output_dir=None) -> dict:
         result.broken, result.breakdown = True, str(e)
     if not result.broken:
         for name in cfg.get("checks", []):
-            result.checks.append(_CHECK_FNS[name](cfg, result))
+            report = CHECKS[name][1](cfg, result)
+            report.name = name      # each report is named after its check
+            result.checks.append(report)
     wall = time.time() - t0
     rows = _csv_rows(result)
 

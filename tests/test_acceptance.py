@@ -149,12 +149,13 @@ def test_criterion_04_trace_evolution_identity():
         run = RD.run_radial_flow(
             RD.poincare_lambda, 0.8, 0.005, nodes=nodes, order=4,
             frame_dt=fdt, boundary=lambda r, t: RD.homothety_lambda(r, t))
-        for hk in ("poincare", "euclidean"):
-            residuals[(nodes, hk)] = ES.trace_identity_on_run(run, hk)[
+        for hk in ("poincare-disk", "euclidean"):
+            run.h_reference = SC.H_METRICS[hk][0]
+            residuals[(nodes, hk)] = ES.trace_identity_on_run(run)[
                 "max_residual"]
-    base = max(residuals[(256, "poincare")], residuals[(256, "euclidean")])
+    base = max(residuals[(256, "poincare-disk")], residuals[(256, "euclidean")])
     ratios = [residuals[(256, hk)] / residuals[(512, hk)]
-              for hk in ("poincare", "euclidean")]
+              for hk in ("poincare-disk", "euclidean")]
     ok = base <= 1e-4 and min(ratios) >= 3.0
     assert report(4, ok, f"trace heat residual {base:.2e} <= 1e-4 at dt=1e-4/"
                   f"grid 256; halving reduces x{min(ratios):.2f} >= 3")

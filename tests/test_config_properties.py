@@ -6,6 +6,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from crflow import radial as RD
@@ -13,6 +14,8 @@ from crflow import scenarios as SC
 from crflow.errors import ConfigError
 
 INITIALS = sorted({*SC.RADIAL_DATA, *SC.TORUS_DATA})
+# the reference metrics the loader takes, and a catalog metric it does not
+H_KEYS = sorted(SC.H_METRICS) + ["bergman-ball"]
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-5, 100)
@@ -27,9 +30,9 @@ PLAUSIBLE = {
     "initial": st.sampled_from(INITIALS),
     "boundary": st.sampled_from(SC.BOUNDARIES),
     "topology": st.sampled_from(["radial-disk", "periodic-box"]),
-    "g0": st.sampled_from(["euclidean", "poincare-disk",
-                           "conformal:euclidean:constant:x"]),
-    "checks": st.lists(st.sampled_from(SC.CHECKS + ("bogus",)), max_size=3),
+    "h": st.sampled_from(H_KEYS),
+    "checks": st.lists(st.sampled_from(tuple(SC.CHECKS) + ("bogus",)),
+                       max_size=3),
 }
 
 
@@ -115,6 +118,7 @@ def test_accepted_data_build_on_the_grid(kind, initial, boundary, r_max, nodes,
     chart = {"grid_resolution": nodes}
     chart.update({"box_length": 1.0} if kind == "torus" else {"r_max": r_max})
     raw = {"scenario_name": "p", "kind": kind, "chart": chart,
+           "metrics": {"h": "euclidean"},     # the one h every kind fits
            "flow": {"initial": initial, "boundary": boundary, "order": order,
                     "perturbation_amplitude": amplitude, "t_max": 0.1,
                     "s_max": 1.0}}
@@ -137,3 +141,42 @@ def test_accepted_data_build_on_the_grid(kind, initial, boundary, r_max, nodes,
         assert np.all(np.isfinite(g)) and g.min() > 0
         if boundary == "exact-homothety":
             assert np.allclose(ghosts(rg, 0.0), lam0(rg), rtol=1e-15, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(SC.KINDS), h=st.sampled_from(H_KEYS),
+       mutate=st.booleans())
+def test_load_config_accepts_h_exactly_when_the_table_fits_it(kind, h,
+                                                              mutate):
+    """metrics.h is accepted exactly when `H_METRICS` holds it for the kind:
+    the torus takes the flat h only, and a catalog metric with no radial
+    profile (bergman-ball) is refused at load time, before any run."""
+    chart = {"grid_resolution": 16}
+    chart.update({"box_length": 1.0} if kind == "torus" else {"r_max": 0.5})
+    raw = {"scenario_name": "p", "kind": kind, "chart": chart,
+           "metrics": {"h": h},
+           "flow": {"initial": "flat", "t_max": 0.1, "s_max": 1.0}}
+    if mutate:      # a second violation does not hide the h one
+        raw["flow"]["order"] = 5
+    fits = h in SC.H_METRICS and kind in SC.H_METRICS[h][1]
+    try:
+        SC.load_config(raw)
+    except ConfigError as e:
+        h_errors = [v for v in e.violations if v.startswith("metrics.h ")]
+        assert len(h_errors) == (0 if fits else 1)
+        assert len(e.violations) == len(h_errors) + mutate
+    else:
+        assert fits and not mutate
+
+
+def test_metrics_g0_is_an_unknown_key():
+    """The initial metric is flow.initial; a g0 slot that no run reads is
+    rejected, not echoed."""
+    raw = {"scenario_name": "p", "kind": "radial",
+           "metrics": {"g0": "poincare-disk", "h": "poincare-disk"},
+           "chart": {"grid_resolution": 16, "r_max": 0.5},
+           "flow": {"t_max": 0.1}}
+    with pytest.raises(ConfigError) as ei:
+        SC.load_config(raw)
+    assert ei.value.violations == ["unknown key 'metrics.g0'"]
+    assert "g0" not in SC.DEFAULTS["metrics"]

@@ -195,9 +195,20 @@ def test_trace_identity_on_run_both_h():
     run = RD.run_radial_flow(RD.poincare_lambda, 0.8, 0.003, nodes=128,
                              order=4, frame_dt=1e-4,
                              boundary=lambda r, t: RD.homothety_lambda(r, t))
-    for hk in ("poincare", "euclidean"):
-        out = ES.trace_identity_on_run(run, hk)
+    for h in (RD.poincare_lambda, lambda r: np.ones_like(r)):
+        run.h_reference = h
+        out = ES.trace_identity_on_run(run)
         assert out["max_residual"] < 1e-4
+
+
+def test_uniform_triples_skip_an_unequal_gap():
+    """The one rule of the three frame-differencing checks: a centered
+    difference only where both gaps are equal, and an error if none is."""
+    times = [0.0, 0.003, 0.006, 0.009, 0.012, 0.015, 0.018, 0.02]
+    assert ES._uniform_triples(times) == [1, 2, 3, 4, 5]
+    for bad in ([0.0, 0.1], [0.0, 0.1, 0.3]):
+        with pytest.raises(ValueError, match="at equal gaps"):
+            ES._uniform_triples(bad)
 
 
 def test_report_json_shape(homothety_run):

@@ -17,7 +17,7 @@ from crflow.errors import ConfigError, FlowBreakdownError, ManifestError
 FAST_TORUS = {
     "scenario_name": "t",
     "kind": "torus",
-    "metrics": {"g0": "euclidean", "h": "euclidean"},
+    "metrics": {"h": "euclidean"},
     "chart": {"complex_dimension": 1, "topology": "periodic-box",
               "grid_resolution": 16, "box_length": 1.0},
     "flow": {"initial": "flat", "t_max": 0.004, "frame_dt": 0.001},
@@ -28,7 +28,7 @@ FAST_TORUS = {
 FAST_RADIAL = {
     "scenario_name": "r",
     "kind": "radial",
-    "metrics": {"g0": "poincare-disk", "h": "poincare-disk"},
+    "metrics": {"h": "poincare-disk"},
     "chart": {"complex_dimension": 1, "topology": "radial-disk",
               "grid_resolution": 64, "r_max": 0.8},
     "flow": {"initial": "hyperbolic-ke", "boundary": "exact-homothety",
@@ -48,7 +48,7 @@ def _cli(*args, env_extra=None):
 
 def test_config_validation_lists_every_violation():
     bad = {"scenario_name": "", "kind": "nope",
-           "metrics": {"g0": "no-such-key", "h": "euclidean"},
+           "metrics": {"h": "no-such-key"},
            "chart": {"grid_resolution": 4}, "checks": ["bogus-check"]}
     with pytest.raises(ConfigError) as ei:
         SC.load_config(bad)
@@ -149,7 +149,7 @@ def test_exact_homothety_is_the_datum_s_own_flow():
     assert report["checks"][0]["extra"]["max_rel_error"] < 1e-7
     flat = json.loads(json.dumps(FAST_RADIAL))
     flat["flow"]["initial"] = "flat"
-    flat["metrics"] = {"g0": "euclidean", "h": "euclidean"}
+    flat["metrics"] = {"h": "euclidean"}
     report = SC.run_scenario(flat)
     assert report["checks"][0]["extra"]["max_rel_error"] == 0.0
 
@@ -330,7 +330,7 @@ def test_cli_output_root_env(tmp_path):
 def test_cli_exit_two_on_config_error(tmp_path):
     cfg = tmp_path / "bad.json"
     bad = json.loads(json.dumps(FAST_TORUS))
-    bad["metrics"]["g0"] = "missing-metric"
+    bad["metrics"]["h"] = "missing-metric"
     cfg.write_text(json.dumps(bad))
     r = _cli("run", str(cfg), "-o", str(tmp_path / "o"))
     assert r.returncode == 2
@@ -351,7 +351,7 @@ def test_cli_exit_three_on_breakdown(tmp_path):
     cfg = {
         "scenario_name": "cap",
         "kind": "radial",
-        "metrics": {"g0": "euclidean", "h": "euclidean"},
+        "metrics": {"h": "euclidean"},
         "chart": {"complex_dimension": 1, "topology": "radial-disk",
                   "grid_resolution": 32, "r_max": 0.8},
         "flow": {"initial": "fubini-cap", "boundary": "exact-homothety",
@@ -461,9 +461,89 @@ def test_verify_all_breakdown_in_a_check_exits_three(tmp_path, monkeypatch):
     def broken_check(cfg, result):
         raise FlowBreakdownError(0.5, "radial", "re-run lost positivity")
 
-    monkeypatch.setitem(SC._CHECK_FNS, "flat-stationarity", broken_check)
+    monkeypatch.setitem(SC.CHECKS, "flat-stationarity",
+                        (("torus",), broken_check))
     code, master = SC.verify_all(_manifest(tmp_path, [FAST_TORUS]),
                                  str(tmp_path / "out"))
     assert code == 3
     assert master["rows"][0]["check"] == "(error)"
     assert master["rows"][0]["detail"].startswith("FlowBreakdownError")
+
+
+# ---------------------------------------------------------------------------
+# the reference metric h, frame gaps and report names
+# ---------------------------------------------------------------------------
+
+def _trace_identity(h, frame_dt):
+    """A 96-node order-6 homothety to t = 0.02 with its trace-identity
+    report, h the config's reference metric."""
+    return SC.run_scenario({
+        "scenario_name": "ti", "kind": "radial", "metrics": {"h": h},
+        "chart": {"grid_resolution": 96, "r_max": 0.8},
+        "flow": {"initial": "poincare", "boundary": "exact-homothety",
+                 "order": 6, "t_max": 0.02, "frame_dt": frame_dt},
+        "checks": ["trace-identity"]})["checks"][0]
+
+
+def test_trace_identity_skips_the_short_last_frame_gap():
+    """frame_dt 0.003 leaves a last gap of 0.002 before t_max = 0.02; a
+    centered difference across it was 3.6e-3 off, failing the check.  Over
+    the equal gaps the residual is the O(frame_dt^2) one, (3/2)^2 times that
+    at frame_dt 0.002."""
+    coarse, fine = _trace_identity("poincare-disk", 0.003), \
+        _trace_identity("poincare-disk", 0.002)
+    assert coarse["satisfied"] and coarse["samples"] == 5
+    ratio = coarse["extra"]["max_residual"] / fine["extra"]["max_residual"]
+    assert 1.5 < ratio < 3.0
+
+
+def test_hyperbolic_ke_trace_identity_reads_its_own_h():
+    """With h = 2 (1 - r^2)^-2, Lambda = tr_g h and every term of the
+    identity are twice those of the factor-1 Poincare h, so the residual is
+    too; the identity once read the factor-1 metric for either key."""
+    ke = _trace_identity("hyperbolic-ke", 0.002)["extra"]["max_residual"]
+    pd = _trace_identity("poincare-disk", 0.002)["extra"]["max_residual"]
+    assert ke == pytest.approx(2.0 * pd, rel=1e-3)
+    r = np.linspace(0.0, 0.9, 7)
+    np.testing.assert_array_equal(SC.H_METRICS["hyperbolic-ke"][0](r),
+                                  2.0 / (1.0 - r**2) ** 2)
+
+
+@pytest.mark.parametrize("kind, h", [("torus", "poincare-disk"),
+                                     ("radial", "bergman-ball")])
+def test_config_rejects_an_h_that_does_not_fit_the_kind(kind, h):
+    """An h with no radial profile, or a curved h on the flat torus, is a
+    ConfigError at load time, not mid-run."""
+    bad = json.loads(json.dumps(FAST_TORUS if kind == "torus" else FAST_RADIAL))
+    bad["metrics"]["h"] = h
+    with pytest.raises(ConfigError) as ei:
+        SC.load_config(bad)
+    assert len(ei.value.violations) == 1
+    assert ei.value.violations[0].startswith("metrics.h ")
+    assert repr(h) in ei.value.violations[0]
+
+
+def test_master_rows_are_named_after_the_configured_checks(tmp_path):
+    """Each master row's check is the config's check name (or a "(...)" row):
+    scalar-evolution on the torus and ke-expected-divergence were listed
+    under the names of the estimate functions behind them."""
+    bumpy = json.loads(json.dumps(FAST_TORUS))
+    bumpy.update(scenario_name="bumpy", checks=["scalar-evolution"])
+    bumpy["flow"].update(initial="bumpy", perturbation_amplitude=0.05)
+    flat = {"scenario_name": "flat", "kind": "radial-normalized",
+            "metrics": {"h": "euclidean"},
+            "chart": {"grid_resolution": 32, "r_max": 0.9},
+            "flow": {"initial": "flat", "s_max": 1.0, "frame_dt": 0.1},
+            "checks": ["ke-expected-divergence", "potential-monotonicity"]}
+    bad = dict(FAST_RADIAL, scenario_name="bad", metrics={"h": "bergman-ball"})
+    configs = [bumpy, flat, FAST_RADIAL, bad]
+    code, master = SC.verify_all(_manifest(tmp_path, configs),
+                                 str(tmp_path / "out"))
+    assert code == 2
+    names = {c for cfg in configs for c in cfg["checks"]}
+    for row in master["rows"]:
+        assert row["check"] in names or (row["check"].startswith("(")
+                                         and row["check"].endswith(")"))
+    assert [r["check"] for r in master["rows"]] == [
+        "scalar-evolution", "ke-expected-divergence", "potential-monotonicity",
+        "exact-homothety-tracking", "(config)"]
