@@ -20,7 +20,6 @@ from math import comb
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
 from .estimates import EstimateReport, _report
@@ -28,6 +27,14 @@ from .metrics import MetricProvider, ScalarField, conformal_metric
 
 # subdivision limit of frakF's adaptive quadrature in the switch window
 _QUAD_LIMIT = 256
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported at the first call: the import loads
+    scipy.special, scipy.optimize and scipy.sparse.linalg (about 24 MB),
+    which a run that never integrates frakF does not need."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

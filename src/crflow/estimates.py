@@ -374,7 +374,9 @@ def trace_identity_on_run(run: RadialRun, interior=0.85) -> dict:
     radial stencils) are computed independently of the right side, whose
     d log lam_h and hatR_1111 = -lam_h ddbar(log lam_h) come from the same
     stencils, with exact ghosts from the profile.  Returns max |residual|
-    over interior nodes and interior frames.
+    over interior nodes and interior frames, and that maximum relative to
+    sup Lambda over the same nodes and frames: the residual scales with
+    lam_h, the relative one does not.
     """
     if run.h_reference is None:
         raise ValueError("run has no h reference for the trace identity")
@@ -386,7 +388,7 @@ def trace_identity_on_run(run: RadialRun, interior=0.85) -> dict:
     dlog_h = grid.d1(log_h, log_h_ghosts)
     Rhat1111 = -lam_h * grid.ddbar(log_h, log_h_ghosts)
 
-    worst = 0.0
+    worst = sup_L = 0.0
     rows = []
     for k in _uniform_triples([fr.time for fr in frames]):
         fm, f0, fp = frames[k - 1], frames[k], frames[k + 1]
@@ -406,4 +408,6 @@ def trace_identity_on_run(run: RadialRun, interior=0.85) -> dict:
         m = float(np.max(np.abs(resid[mask])))
         rows.append({"t": f0.time, "max_residual": m})
         worst = max(worst, m)
-    return {"max_residual": worst, "frames": rows}
+        sup_L = max(sup_L, float(np.max(L0[mask])))
+    return {"max_residual": worst, "relative_residual": worst / sup_L,
+            "frames": rows}

@@ -11,15 +11,16 @@ and its potential form, with Ric0 = -ddbar log lam0,
     d_t psi = log((lam0 - t Ric0 + ddbar psi)/lam0),   psi(0) = 0,
     lam(t)  = lam0 - t Ric0 + ddbar psi.
 
-Space discretization is the 9-point second-order stencil.  There are two
+Space discretization is the 9-point second-order stencil, `ddbar_periodic`,
+built from slices of one wrap-padded copy of the field.  There are two
 steppers, on one loop (`_march`) that owns frames, breakdown and the step
 count: `sdirk4`, an L-stable implicit SDIRK4 with its own error control,
 steps both torus forms and every radial metric flow, where accuracy allows
 steps far above the explicit limit; `rk4`, explicit RK4 under a `cfl_bound`
 step limit, steps only the masked disk and the radial potential form.  The
 torus runs solve their Newton systems with the constant-coefficient twin
-I - (hg/c) ddbar_periodic, diagonal in Fourier space, by one rfft2/irfft2
-pair (`periodic_solver`).
+I - (hg/c) ddbar_periodic, diagonal in Fourier space, by one numpy.fft
+rfft2/irfft2 pair (`periodic_solver`).
 `require_positive` is the one positivity guard: it refuses NaN, +-inf and
 values at or below a floor, and breakdown raises `FlowBreakdownError` with
 the offending location.  Hermitian symmetry is exact in this representation
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.fft import irfft2, rfft2
 
 from .errors import FlowBreakdownError
 
@@ -227,17 +227,32 @@ def sdirk4(y, t_end, rhs, factor, check, *, frame_dt=None, frame=None,
     return _march(y, t_end, advance, check, frame_dt, frame)
 
 
-def laplacian_9pt(u, h):
-    """Periodic 9-point Laplacian, second order, square spacing."""
-    c = np.roll
-    cross = c(u, 1, 0) + c(u, -1, 0) + c(u, 1, 1) + c(u, -1, 1)
-    diag = (c(c(u, 1, 0), 1, 1) + c(c(u, 1, 0), -1, 1)
-            + c(c(u, -1, 0), 1, 1) + c(c(u, -1, 0), -1, 1))
-    return (4.0 * cross + diag - 20.0 * u) / (6.0 * h * h)
+def _wrap_pad(u, k):
+    """The n0 x n1 periodic field u with k wrapped nodes added on each side."""
+    n0, n1 = u.shape
+    p = np.empty((n0 + 2 * k, n1 + 2 * k))
+    p[k:-k, k:-k] = u
+    p[:k, k:-k] = u[-k:]
+    p[-k:, k:-k] = u[:k]
+    p[:, :k] = p[:, -2 * k:-k]
+    p[:, -k:] = p[:, k:2 * k]
+    return p
 
 
 def ddbar_periodic(u, h):
-    return 0.25 * laplacian_9pt(u, h)
+    """ddbar = (u_xx + u_yy)/4 by the periodic 9-point stencil, second order,
+    square spacing h: (4 (N + S + W + E) + NW + NE + SW + SE - 20 u) / (24 h^2),
+    built from slices of one wrap-padded copy of u."""
+    p = _wrap_pad(u, 1)
+    s = p[:-2] + p[2:]                  # north + south, on the padded columns
+    out = s[:, 1:-1] + p[1:-1, :-2]
+    out += p[1:-1, 2:]
+    out *= 4.0
+    out += s[:, :-2]
+    out += s[:, 2:]
+    out -= 20.0 * u
+    out *= 1.0 / (24.0 * h * h)
+    return out
 
 
 def scalar_curvature_periodic(lam, h):
@@ -246,14 +261,17 @@ def scalar_curvature_periodic(lam, h):
 
 
 def ddbar_periodic_4th(u, h):
-    """4th-order periodic ddbar; the independent measuring stick for
-    residuals of runs advanced with the 2nd-order stencil."""
-    c = np.roll
-    acc = -60.0 * u
-    for ax in (0, 1):
-        acc = acc + (-c(u, 2, ax) + 16.0 * c(u, 1, ax)
-                     + 16.0 * c(u, -1, ax) - c(u, -2, ax))
-    return acc / (48.0 * h * h)
+    """4th-order periodic ddbar, the 5-point second difference along each
+    axis; the independent measuring stick for residuals of runs advanced
+    with the 2nd-order stencil."""
+    p = _wrap_pad(u, 2)
+    mid = slice(2, -2)
+    out = p[1:-3, mid] + p[3:-1, mid] + p[mid, 1:-3] + p[mid, 3:-1]
+    out *= 16.0
+    out -= p[:-4, mid] + p[4:, mid] + p[mid, :-4] + p[mid, 4:]
+    out -= 60.0 * u
+    out *= 1.0 / (48.0 * h * h)
+    return out
 
 
 @dataclass
@@ -289,22 +307,36 @@ def cfl_bound(min_eig: float, ric_scale: float, grid_step: float,
     return min(base, grid_step**2 * min_eig)
 
 
+def periodic_symbol(n, h):
+    """The symbol of ddbar_periodic on the n x n grid, spacing h, at the
+    rfft2 frequencies (p, q), p < n and q <= n // 2:
+    (8 cos p + 8 cos q + 4 cos p cos q - 20) / (24 h^2), angles 2 pi k / n."""
+    cos = np.cos(2.0 * np.pi * np.arange(n) / n)
+    cp, cq = cos[:, None], cos[:n // 2 + 1]
+    return (8.0 * cp + 8.0 * cq + 4.0 * cp * cq - 20.0) / (24.0 * h * h)
+
+
 def periodic_solver(n, h):
     """`solver(lam, hg)` for the torus flows' Newton systems on the n x n grid.
 
     It returns the solve of I - (hg/c) ddbar_periodic, 1/c the midpoint of
     1/lam's range: the constant-coefficient twin of both forms' I - hg J.
     That matrix is diagonal in Fourier space, where ddbar_periodic has the
-    symbol (8 cos p + 8 cos q + 4 cos p cos q - 20) / (24 h^2), so a solve is
-    one rfft2/irfft2 pair over the last two axes.
+    symbol `periodic_symbol`, so a solve is one numpy.fft rfft2/irfft2 pair
+    over the last two axes, with the reciprocal of the diagonal taken once
+    per factor.
     """
-    cos = np.cos(2.0 * np.pi * np.arange(n) / n)
-    cp, cq = cos[:, None], cos[:n // 2 + 1]
-    symbol = (8.0 * cp + 8.0 * cq + 4.0 * cp * cq - 20.0) / (24.0 * h * h)
+    symbol = periodic_symbol(n, h)
 
     def solver(lam, hg):
-        denom = 1.0 - 0.5 * hg * (1.0 / lam.min() + 1.0 / lam.max()) * symbol
-        return lambda r: irfft2(rfft2(r) / denom, s=(n, n))
+        inv = 1.0 / (1.0 - 0.5 * hg * (1.0 / lam.min() + 1.0 / lam.max())
+                     * symbol)
+
+        def solve(r):
+            f = np.fft.rfft2(r)
+            f *= inv
+            return np.fft.irfft2(f, s=(n, n))
+        return solve
     return solver
 
 

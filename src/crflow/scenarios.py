@@ -388,6 +388,7 @@ def _chk_trace_identity(cfg, result):
     worst = out["max_residual"]
     return estimates._report("trace-identity", tol - worst, ("max",), 0.0,
                              len(out["frames"]), max_residual=worst,
+                             relative_residual=out["relative_residual"],
                              tolerance_level=tol)
 
 

@@ -7,8 +7,9 @@ import pytest
 from crflow import radial as RD
 from crflow import scenarios as SC
 from crflow.errors import FlowBreakdownError
-from crflow.flow import (DiskGrid, cfl_bound, ddbar_periodic, periodic_solver,
-                         require_positive, rk4, run_disk2d_flow, run_torus_flow,
+from crflow.flow import (DiskGrid, cfl_bound, ddbar_periodic, ddbar_periodic_4th,
+                         periodic_solver, periodic_symbol, require_positive,
+                         rk4, run_disk2d_flow, run_torus_flow,
                          scalar_curvature_periodic, sdirk4)
 
 
@@ -318,6 +319,58 @@ def test_ddbar_periodic_second_order():
         errs.append(np.abs(ddbar_periodic(u, 1.0 / N) - exact).max())
     assert errs[0] / errs[1] > 3.5
 
+
+
+def _ddbar_9pt_roll(u, h):
+    """The 9-point periodic ddbar written with np.roll: the reference for
+    the wrap-padded kernel."""
+    c = np.roll
+    cross = c(u, 1, 0) + c(u, -1, 0) + c(u, 1, 1) + c(u, -1, 1)
+    diag = (c(c(u, 1, 0), 1, 1) + c(c(u, 1, 0), -1, 1)
+            + c(c(u, -1, 0), 1, 1) + c(c(u, -1, 0), -1, 1))
+    return 0.25 * (4.0 * cross + diag - 20.0 * u) / (6.0 * h * h)
+
+
+def _ddbar_4th_roll(u, h):
+    """The 4th-order periodic ddbar written with np.roll."""
+    c = np.roll
+    acc = -60.0 * u
+    for ax in (0, 1):
+        acc = acc + (-c(u, 2, ax) + 16.0 * c(u, 1, ax)
+                     + 16.0 * c(u, -1, ax) - c(u, -2, ax))
+    return acc / (48.0 * h * h)
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 33])
+def test_periodic_kernels_equal_their_roll_formulas(n):
+    """Both wrap-padded kernels are their np.roll formulas up to the order
+    of summation, on random fields, odd n and the smallest pad included."""
+    rng = np.random.default_rng(n)
+    h = 1.0 / n
+    for _ in range(3):
+        u = rng.standard_normal((n, n))
+        tol = 64 * np.finfo(float).eps * np.max(np.abs(u)) / h**2
+        for kernel, ref in ((ddbar_periodic, _ddbar_9pt_roll),
+                            (ddbar_periodic_4th, _ddbar_4th_roll)):
+            out = kernel(u, h)
+            assert out.shape == u.shape
+            assert np.max(np.abs(out - ref(u, h))) <= tol
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_ddbar_periodic_has_the_solver_symbol(n):
+    """ddbar_periodic of each Fourier mode cos(2 pi (p i + q j) / n) is that
+    mode times the symbol `periodic_solver` divides by: kernel and solve are
+    one stencil."""
+    h = 0.3 / n
+    symbol = periodic_symbol(n, h)
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    for p, q in ((0, 1), (1, 0), (1, 1), (2, 3), (n // 2, n // 2),
+                 (n - 1, 2), (5, n // 2)):
+        mode = np.cos(2.0 * np.pi * (p * i + q * j) / n)
+        out = ddbar_periodic(mode, h)
+        scale = np.max(np.abs(symbol[p, q] * mode))
+        assert np.max(np.abs(out - symbol[p, q] * mode)) <= 1e-12 * scale
 
 def test_radial_vs_disk2d_homothety():
     """1-D reduction against the masked 2-D grid on the exact homothety."""
