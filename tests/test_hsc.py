@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from crflow import metrics as M
-from crflow.curvature import (chern_curvature, hsc_max, nabla_bar_torsion_norm,
+from crflow.curvature import (_haar_unitaries, chern_curvature, hsc_max,
+                              nabla_bar_torsion_norm, nabla_bar_torsion_tensor,
                               orthonormal_frame)
 
 
@@ -110,3 +111,110 @@ def test_nabla_bar_norm_conformal_kahler_base():
     h2 = M.conformal_metric(M.euclidean(2), M.radial_quadratic_field(0.15))
     v2 = nabla_bar_torsion_norm(h2, z, samples=128, seed=0)
     assert v2 < v
+
+
+# ---------------------------------------------------------------------------
+# the batched frame sweep of nabla_bar_torsion_norm against sequential loops
+# ---------------------------------------------------------------------------
+
+def _haar_sequential(n, count, seed):
+    """One sample at a time: the real block, the imaginary block, QR, phase."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        Q, Rm = np.linalg.qr(A)
+        out.append(Q * (np.diag(Rm) / np.abs(np.diag(Rm))))
+    return out
+
+
+def _sweep_sequential(h, t_source, z, samples, seed):
+    """The frame sweep one frame at a time, without the ascent: the
+    identity frame, then each sample that scores strictly higher than the
+    best so far."""
+    z = np.asarray(z, dtype=complex)
+    W = nabla_bar_torsion_tensor(t_source, h, z)
+    E = orthonormal_frame(h.matrix(z))
+
+    def frame_max(U):
+        F = E @ U
+        comp = np.einsum('ma,pb,qc,rd,mpqr->abcd',
+                         np.conj(F), F, F, np.conj(F), W)
+        return float(np.max(np.abs(comp)))
+
+    best = frame_max(np.eye(len(z)))
+    for U in _haar_sequential(len(z), samples, seed):
+        v = frame_max(U)
+        if v > best:
+            best = v
+    return best
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_haar_stack_is_the_sequential_stream(n):
+    S = 64
+    stack = _haar_unitaries(n, S, 11)
+    assert stack.shape == (S, n, n)
+    assert np.array_equal(stack, np.array(_haar_sequential(n, S, 11)))
+    eye = np.eye(n)
+    assert np.abs(stack @ stack.conj().transpose(0, 2, 1) - eye).max() < 1e-12
+    assert np.abs(stack.conj().transpose(0, 2, 1) @ stack - eye).max() < 1e-12
+    for k in (0, 1, 7, 63):
+        assert np.array_equal(_haar_unitaries(n, k, 11), stack[:k])
+
+
+def _conformal_torsion():
+    return M.conformal_metric(M.torsion_example(),
+                              M.radial_quadratic_field(0.15))
+
+
+def _conformal_flat():
+    return M.conformal_metric(M.euclidean(2), M.radial_quadratic_field(0.15))
+
+
+# (frame metric h, torsion source, point).  On the first two the identity
+# frame is the best, so a sample never replaces it; the conformal completion's
+# pair has a best frame that the samples approach from below; on a conformally
+# flat metric every frame scores the same up to rounding, so the winner is
+# decided in the last bits.
+SWEEP_CASES = {
+    "torsion-example": (M.torsion_example, M.torsion_example,
+                        [0.35 + 0.1j, -0.2 + 0.25j]),
+    "conformal-torsion": (_conformal_torsion, _conformal_torsion,
+                          [0.35 + 0.2j, -0.25 + 0.3j]),
+    "completion-pair": (lambda: M.euclidean(2), _conformal_flat,
+                        [0.35 + 0.2j, -0.25 + 0.3j]),
+    "conformally-flat-ties": (_conformal_flat, _conformal_flat,
+                              [0.1 + 0.3j, 0.2 - 0.1j]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_batched_sweep_equals_the_sequential_sweep(name):
+    make_h, make_t, z = SWEEP_CASES[name]
+    h, t_source = make_h(), make_t()
+    for seed in (0, 1, 5):
+        for samples in (1, 16, 128, 512):
+            got = nabla_bar_torsion_norm(h, z, t_source=t_source,
+                                         samples=samples, seed=seed,
+                                         ascent_steps=0)
+            assert got == _sweep_sequential(h, t_source, z, samples, seed), \
+                (seed, samples)
+
+
+def test_nabla_bar_norm_full_call_is_pinned():
+    """The default sweep and ascent, frozen from the one-frame-at-a-time
+    sweep."""
+    assert nabla_bar_torsion_norm(M.torsion_example(),
+                                  [0.35 + 0.1j, -0.2 + 0.25j],
+                                  seed=0) == 0.7796928984596192
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_nabla_bar_norm_without_samples_scores_the_identity_frame(samples):
+    """At z = (0.3, 0.2i) the first sample of seed 0 does not beat the
+    identity frame, so `samples` 0 (no batch) and 1 hand the ascent the same
+    frame and return the same value."""
+    assert nabla_bar_torsion_norm(M.torsion_example(), [0.3, 0.2j],
+                                  samples=samples,
+                                  seed=0) == 0.8416799932665601
