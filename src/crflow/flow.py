@@ -17,7 +17,12 @@ steppers, on one loop (`_march`) that owns frames, breakdown and the step
 count: `sdirk4`, an L-stable implicit SDIRK4 with its own error control,
 steps both torus forms and every radial metric flow, where accuracy allows
 steps far above the explicit limit; `rk4`, explicit RK4 under a `cfl_bound`
-step limit, steps only the masked disk and the radial potential form.  The
+step limit, steps only the masked disk and the radial potential form.
+`sdirk4` allocates its work arrays once per run and forms every stage sum,
+Newton residual and size in place, in the floating-point order of the
+formulas, so a step costs calls rather than temporaries and its frames are
+those of the textbook loop bit for bit; its closures may hand back work
+arrays of their own likewise.  The
 torus runs solve their Newton systems with the constant-coefficient twin
 I - (hg/c) ddbar_periodic, diagonal in Fourier space, by one numpy.fft
 rfft2/irfft2 pair (`periodic_solver`).
@@ -143,42 +148,73 @@ def sdirk4(y, t_end, rhs, factor, check, *, frame_dt=None, frame=None,
            measure=lambda d: d):
     """L-stable implicit SDIRK4 from t = 0 to t_end on the state array y.
 
-    `rhs(t, y, out)` as for `rk4`; a state outside its domain (lam <= 0
-    where the state is lam) must come out non-finite, as the log in the
-    flows' right-hand sides makes it.  `factor(t, y, hg)` factors I - hg J
-    at the step's start state, J the Jacobian of rhs, or an approximation of
-    it, and returns `solve(r)`, which gives (I - hg J)^-1 r.  The five stages
-    of a step share that factorization and are solved by simplified Newton.
-    The step size is controlled on the embedded order-3 error, filtered
-    through the same solve, at `rtol`.  Newton increments and the error are
-    sized as `measure(increment)`, which broadcasts against y: the identity,
-    or the linear map to the quantity whose accuracy counts, as the torus
-    potential form measures psi's increments on lam.  The first step is
-    Hairer's 1e-2 |y| / |y'|, or 1e-6 where either size is below 1e-5, as on
-    a zero state.  A step whose Newton iteration turns non-finite or stalls
-    is cut by 4 and retried, so such an iterate is never accepted; a step
-    that falls below 1e-14 (1 + t) is a breakdown.  Frames, `check`, the
-    return value and breakdown are `_march`'s, as for `rk4`.
+    `rhs(t, y, out)` writes dy/dt into out, as for `rk4`; a state outside
+    its domain (lam <= 0 where the state is lam) must come out non-finite,
+    as the log in the flows' right-hand sides makes it.  `factor(t, y, hg)`
+    factors I - hg J at the step's start state, J the Jacobian of rhs, or an
+    approximation of it, and returns `solve(r)`, which gives
+    (I - hg J)^-1 r.  `solve` may return a work array of its own that stays
+    valid until its next call, and it must not keep r, which the stepper
+    overwrites.  The five stages of a step share that factorization and are
+    solved by simplified Newton.  The step size is controlled on the
+    embedded order-3 error, filtered through the same solve, at `rtol`.
+    Newton increments and the error are sized as `measure(increment)`,
+    which broadcasts to y's shape: the identity, or the linear map to the
+    quantity whose accuracy counts, as the torus potential form measures
+    psi's increments on lam.  The first step is Hairer's 1e-2 |y| / |y'|,
+    or 1e-6 where either size is below 1e-5, as on a zero state.  A step
+    whose Newton iteration turns non-finite or stalls is cut by 4 and
+    retried, so such an iterate is never accepted; a step that falls below
+    1e-14 (1 + t) is a breakdown.  Frames, `check`, the return value and
+    breakdown are `_march`'s, as for `rk4`.
+
+    The work arrays are allocated once per run and every quantity is formed
+    in place, in the floating-point order of the textbook formulas: the
+    stage sums a_i1 hk_1 + a_i2 hk_2 + ... left to right, then y plus that
+    sum; the residual z + (gamma dt) f - stage; sizes max(|d| / sc).  Only
+    each attempt's stage array is new, as an accepted step returns it as
+    the next state.
     """
     hk = np.empty((5,) + y.shape)       # h times each stage's derivative
-    f = np.empty_like(y)
+    f, z, r, acc, sc, buf = (np.empty_like(y) for _ in range(6))
     h = None
 
-    def size(v, sc):
-        return float(np.max(np.abs(v) / sc))
+    def size(v):
+        np.abs(v, out=buf)
+        np.divide(buf, sc, out=buf)
+        return float(np.maximum.reduce(buf, axis=None))
 
-    def attempt(t, y, dt, sc):
+    def combine(coefs):
+        """sum(c_j hk_j) over the nonzero c_j, left to right, into acc."""
+        terms = [(hk[j], c) for j, c in enumerate(coefs) if c]
+        np.multiply(*terms[0], out=acc)
+        for v, c in terms[1:]:
+            np.multiply(v, c, out=r)
+            np.add(acc, r, out=acc)
+        return acc
+
+    def attempt(t, y, dt):
         """(new, error size) of one step, or None if Newton fails."""
-        solve = factor(t, y, _GAMMA * dt)
+        hg = _GAMMA * dt
+        solve = factor(t, y, hg)
+        stage = np.empty_like(y)        # the next state if the step holds
         for i, (a, c) in enumerate(zip(_SDIRK_A, _SDIRK_C)):
-            z = y + sum(aj * hk[j] for j, aj in enumerate(a))
-            stage = z + _GAMMA * hk[i - 1] if i else y.copy()
+            if i:
+                np.add(y, combine(a), out=z)
+                np.multiply(hk[i - 1], _GAMMA, out=stage)
+                stage += z
+            else:
+                z[...] = y
+                stage[...] = y
             prev = None
             for _ in range(7):
                 rhs(t + c * dt, stage, f)
-                d = solve(z + _GAMMA * dt * f - stage)
+                np.multiply(f, hg, out=r)
+                np.add(r, z, out=r)
+                np.subtract(r, stage, out=r)
+                d = solve(r)
                 stage += d
-                dn = size(measure(d), sc)
+                dn = size(measure(d))
                 if not dn < np.inf:
                     return None
                 if prev is not None:
@@ -192,16 +228,18 @@ def sdirk4(y, t_end, rhs, factor, check, *, frame_dt=None, frame=None,
                 prev = dn
             else:
                 return None
-            hk[i] = (stage - z) / _GAMMA
-        err = solve(sum(e * hk[i] for i, e in enumerate(_SDIRK_E) if e))
-        return stage, size(measure(err), sc)
+            np.subtract(stage, z, out=hk[i])
+            hk[i] /= _GAMMA
+        return stage, size(measure(solve(combine(_SDIRK_E))))
 
     def advance(t, y, step, limit):
         nonlocal h
-        sc = rtol * (1.0 + np.abs(y))
+        np.abs(y, out=sc)
+        np.add(sc, 1.0, out=sc)
+        np.multiply(sc, rtol, out=sc)
         if h is None:       # Hairer's initial step, floored on a zero state
             rhs(t, y, f)
-            yn, fn = size(y, sc), size(f, sc)
+            yn, fn = size(y), size(f)
             if fn == 0.0:
                 h = limit
             elif yn < 1e-5 or fn < 1e-5:
@@ -212,7 +250,7 @@ def sdirk4(y, t_end, rhs, factor, check, *, frame_dt=None, frame=None,
             dt = min(h, limit)
             if dt < 1e-14 * (1.0 + t):
                 raise FlowBreakdownError(t, ("dt", dt), "step size underflow")
-            out = attempt(t, y, dt, sc)
+            out = attempt(t, y, dt)
             if out is None:
                 h = dt / 4
                 continue

@@ -10,7 +10,9 @@ which avoids the coordinate-singular node at r = 0; regularity lam'(0) = 0 is
 imposed through even-mirror ghosts across the origin.  The outer boundary is
 either Dirichlet data from a supplied field (exact Kahler-Einstein values or
 an exact homothety, for convergence runs) or cubic extrapolation from the
-interior (for identity checks).
+interior (for identity checks).  A ghost field that does not depend on time
+is given as a `Steady` profile, which a run evaluates once (the KE ghosts of
+a normalized run); any other field is evaluated once per stage time.
 
 Stencils are 4th or 6th order (two or three ghost cells per side).  ddbar
 and d1 are each one operator per outer closure, built by one fold of the
@@ -27,10 +29,12 @@ flow in v = log lam (flat data has v' = -1).  Both factor one banded matrix
 diag(d) - hg A through its row-scaled twin (`RadialGrid.band_solver`), which
 `dgbtrf` factors from the first m columns of the same ddbar array; the
 extrapolated block has A 1 = 0, which keeps a uniform state bitwise
-uniform.  The explicit step would stay at h^2 min lam however smooth the
-solution: 141,967 steps for the 512-node homothety to t = 0.5, where SDIRK4
-takes 12 (frames every 0.05), and 96,500 for the flat normalized run to
-s = 3, where it takes 226.  Only the potential form steps through `flow.rk4`
+uniform.  Their right-hand sides and solves write into `out` or into
+arrays kept per run, and the solves run LAPACK in place
+(`RadialGrid._band_lu`).  The explicit step would stay at h^2 min lam
+however smooth the solution: 141,967 steps for the 512-node homothety to
+t = 0.5, where SDIRK4 takes 12 (frames every 0.05), and 96,500 for the flat
+normalized run to s = 3, where it takes 226.  Only the potential form steps through `flow.rk4`
 under `cfl_bound`.  Positivity is guarded with `flow.require_positive`.
 
 Exact references on the disk (checked symbolically):
@@ -122,6 +126,7 @@ class RadialGrid:
         self._d1 = tuple(map(self._band, self._fold(
             np.broadcast_to(w1 / self.h, fused.shape))))
         self._x = np.zeros(m + ng)
+        self._xu, self._xg = self._x[:m], self._x[m:]   # (u, outer) slots
         # the row of A that each band entry lies in, for row scaling
         self._band_rows = np.clip(np.arange(m) + np.arange(-ng, lo + 1)[:, None],
                                   0, m - 1)
@@ -169,16 +174,16 @@ class RadialGrid:
         the rows of [A B] sum to zero, so the shift changes only rounding, and
         a constant gives exactly 0.0.  Extrapolating, B is zero and the ghost
         slots are zeroed, never stale."""
-        m, x = self.m, self._x
         u0 = u[0]
-        np.subtract(u, u0, out=x[:m])
+        np.subtract(u, u0, out=self._xu)
         if outer is None:
             band = bands[1]
-            x[m:] = 0.0
+            self._xg.fill(0.0)
         else:
             band = bands[0]
-            np.subtract(outer, u0, out=x[m:])
-        return dgbmv(m, m + self.ng, self._lo, self.ng, 1.0, band, x)
+            np.subtract(outer, u0, out=self._xg)
+        return dgbmv(self.m, self.m + self.ng, self._lo, self.ng, 1.0, band,
+                     self._x)
 
     def d1(self, u, outer=None):
         """u_r, with the closures of `ddbar`."""
@@ -194,16 +199,31 @@ class RadialGrid:
         A the m x m block of the given (or extrapolated) ddbar: the row-scaled
         twin of diag(d) - hg A, the SDIRK4 matrix of both radial forms.  The
         extrapolated block has A 1 = 0, so N 1 = 1 and the solve is
-        p[0] + N^-1 (p - p[0]): a uniform p comes out bitwise uniform."""
+        p[0] + N^-1 (p - p[0]): a uniform p comes out bitwise uniform.
+        `solve` leaves p as it is; `_band_lu`'s solves in place."""
+        solve = self._band_lu(d, hg, given)
+        return lambda p: solve(np.array(p, dtype=float))
+
+    def _band_lu(self, d, hg, given):
+        """`band_solver`'s solve, overwriting p, a contiguous float row, with
+        the result that it returns."""
         m, lo, ng = self.m, self._lo, self.ng
         band = self._ddbar[0 if given else 1]
         lu = np.empty((2 * lo + ng + 1, m), order="F")  # lo rows of fill-in
-        np.multiply(band[:, :m], (-hg / d)[self._band_rows], out=lu[lo:])
+        np.multiply(band[:, :m], np.take(-hg / d, self._band_rows),
+                    out=lu[lo:])
         lu[lo + ng] += 1.0
         _, piv, _ = dgbtrf(lu, lo, ng, overwrite_ab=1)
         if given:
-            return lambda p: dgbtrs(lu, lo, ng, p, piv)[0]
-        return lambda p: p[0] + dgbtrs(lu, lo, ng, p - p[0], piv)[0]
+            return lambda p: dgbtrs(lu, lo, ng, p, piv, overwrite_b=1)[0]
+
+        def solve(p):
+            p0 = p[0]
+            np.subtract(p, p0, out=p)
+            x = dgbtrs(lu, lo, ng, p, piv, overwrite_b=1)[0]
+            np.add(x, p0, out=x)
+            return x
+        return solve
 
     def outer_ghost_radii(self):
         return self._rg_outer
@@ -217,31 +237,43 @@ class RadialGrid:
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _ghosts_for(field_fn, grid, t):
-    if field_fn is None:
-        return None
-    return field_fn(grid.outer_ghost_radii(), t)
+class Steady:
+    """A field lam(r, t) = profile(r) that does not depend on t, such as the
+    KE profile as a normalized run's ghosts: a run evaluates it once."""
+
+    def __init__(self, profile):
+        self.profile = profile
+
+    def __call__(self, r, t):
+        return self.profile(r)
 
 
-def _once_per_time(field_fn):
-    """`field_fn(r, t)` at one grid's ghost radii, evaluated once per distinct
-    t: the Newton iterates of an SDIRK4 stage share its time, two of RK4's
-    stages share t + dt/2, and t + dt is the next step's t."""
+def _once_per_time(field_fn, r, post=lambda v: v):
+    """t -> post(field_fn(r, t)): a field's ghost values at one grid's ghost
+    radii r, post (such as np.log) applied; None for every t when field_fn is
+    None, which extrapolates.  A `Steady` field is evaluated once, any other
+    once per distinct t: the Newton iterates of an SDIRK4 stage share its
+    time, two of RK4's stages share t + dt/2, and t + dt is the next step's
+    t."""
     if field_fn is None:
-        return None
+        return lambda t: None
+    if isinstance(field_fn, Steady):
+        values = post(field_fn.profile(r))
+        return lambda t: values
     last = [None, None]
 
-    def cached(r, t):
+    def at(t):
         if last[0] != t:
-            last[0], last[1] = t, field_fn(r, t)
+            last[0], last[1] = t, post(field_fn(r, t))
         return last[1]
-    return cached
+    return at
 
 
 def radial_rhs(grid: RadialGrid, lam, t, boundary_log=None, normalized=False):
     """d_t lam at the nodes; `boundary_log(r, t)` supplies log-lam ghosts."""
     u = np.log(lam)
-    dd = grid.ddbar(u, _ghosts_for(boundary_log, grid, t))
+    dd = grid.ddbar(u, None if boundary_log is None
+                    else boundary_log(grid.outer_ghost_radii(), t))
     return dd - lam if normalized else dd
 
 
@@ -266,29 +298,26 @@ class RadialRun:
     broken: bool = False
     breakdown: Optional[str] = None
     h_reference: Optional[Callable] = None    # lam_h(r) for the trace monitor
-    boundary: Optional[Callable] = None       # lam(r, t) ghost field of the run
+    boundary: Optional[Callable] = None       # lam(r, t) ghost field, or Steady
     steps_taken: int = 0
 
     def __post_init__(self):
-        # the one log-ghost field that the stepper and every consumer read;
-        # it closes over the boundary, not the run, so a run is no reference
-        # cycle and is freed as soon as it is dropped
-        b = self.boundary
-        self.log_ghosts = None if b is None else _once_per_time(
-            lambda r, t: np.log(b(r, t)))
-
-    def log_ghosts_at(self, t):
-        """log-lam ghost values at time t; None extrapolates."""
-        return _ghosts_for(self.log_ghosts, self.grid, t)
+        # log_ghosts_at(t): the log-lam ghost values at time t, None to
+        # extrapolate, the one ghost lookup that the stepper and every
+        # consumer read; it closes over the boundary, not the run, so a run
+        # is no reference cycle and is freed as soon as it is dropped
+        self.log_ghosts_at = _once_per_time(
+            self.boundary, self.grid.outer_ghost_radii(), np.log)
 
     def ke_residual(self, fr: Frame) -> float:
         """sup |Ric(g) + g|_g with the run's own discrete operator and ghosts."""
-        resid = radial_rhs(self.grid, fr.lam, fr.time, self.log_ghosts, True)
+        dd = self.grid.ddbar(np.log(fr.lam), self.log_ghosts_at(fr.time))
+        resid = dd - fr.lam
         return float(np.max(np.abs(resid / fr.lam)))
 
     def scalar_field(self, fr: Frame):
         """Chern scalar R = -ddbar(log lam)/lam on the nodes."""
-        dd = radial_rhs(self.grid, fr.lam, fr.time, self.log_ghosts)
+        dd = self.grid.ddbar(np.log(fr.lam), self.log_ghosts_at(fr.time))
         return -dd / fr.lam
 
     def diagnostics_rows(self):
@@ -336,13 +365,19 @@ def run_radial_flow(lam0, r_max, t_end, *, nodes=256, boundary=None,
     lam00 = lam0(grid.r) if callable(lam0) else np.asarray(lam0, float).copy()
     run = RadialRun(grid=grid, normalized=False, h_reference=h_reference,
                     boundary=boundary)
+    ghosts_at, given = run.log_ghosts_at, boundary is not None
+    u, w = np.empty(grid.m), np.empty(grid.m)   # log lam; the solve's work
 
     def rhs(tt, v, out):
-        out[:] = radial_rhs(grid, v, tt, run.log_ghosts, False)
+        out[:] = grid.ddbar(np.log(v, out=u), ghosts_at(tt))
 
     def factor(tt, lam, hg):
-        solve = grid.band_solver(lam, hg, boundary is not None)
-        return lambda r: lam * solve(r / lam)
+        solve_in_place = grid._band_lu(lam, hg, given)
+
+        def solve(r):
+            x = solve_in_place(np.divide(r, lam, out=w))
+            return np.multiply(x, lam, out=x)
+        return solve
 
     def frame(step, tt, v):
         run.frames.append(Frame(step, tt, v.copy()))
@@ -383,28 +418,34 @@ def run_normalized_radial(lam0, r_max, s_end, *, nodes=128, boundary=None,
     v_init = y[0] = np.log(lam_init)
     run = RadialRun(grid=grid, normalized=True, h_reference=h_reference,
                     boundary=boundary)
+    ghosts_at, given = run.log_ghosts_at, boundary is not None
+    w = np.empty((2, grid.m))                   # the solve's work array
+    w_v, w_phi = w
 
     def rhs(ss, y, out):
-        np.exp(-y[0], out=out[0])
-        out[0] *= grid.ddbar(y[0], run.log_ghosts_at(ss))
-        out[0] -= 1.0
-        np.subtract(y[0], v_init, out=out[1])
-        out[1] -= y[1]
+        v, f_v, f_phi = y[0], out[0], out[1]
+        np.exp(np.negative(v, out=f_v), out=f_v)
+        f_v *= grid.ddbar(v, ghosts_at(ss))
+        f_v -= 1.0
+        np.subtract(v, v_init, out=f_phi)
+        f_phi -= y[1]
 
     def factor(ss, y, hg):
         """I - hg J, J = [[diag(e^-v) (A - diag(ddbar v)), 0], [I, -I]]: the
         v block is diag(1/lam) (diag(d) - hg A), and phi's correction
         follows from v's."""
         lam = np.exp(y[0])
-        d = lam + hg * grid.ddbar(y[0], run.log_ghosts_at(ss))
-        solve_v = grid.band_solver(d, hg, boundary is not None)
+        d = lam + hg * grid.ddbar(y[0], ghosts_at(ss))
+        solve_v = grid._band_lu(d, hg, given)
         scale = lam / d
+        damp = 1.0 + hg
 
         def solve(r):
-            out = np.empty_like(r)
-            out[0] = solve_v(scale * r[0])
-            out[1] = (r[1] + hg * out[0]) / (1.0 + hg)
-            return out
+            solve_v(np.multiply(scale, r[0], out=w_v))
+            np.multiply(w_v, hg, out=w_phi)
+            np.add(w_phi, r[1], out=w_phi)
+            np.divide(w_phi, damp, out=w_phi)
+            return w
         return solve
 
     def frame(step, ss, y):
@@ -439,10 +480,10 @@ def run_radial_potential_flow(lam0, r_max, t_end, *, nodes=256, boundary_psi=Non
     lam00 = lam0(grid.r) if callable(lam0) else np.asarray(lam0, float).copy()
     ric0 = -grid.ddbar(np.log(lam00), None if boundary_lam is None else
                        np.log(boundary_lam(grid.outer_ghost_radii(), 0.0)))
-    psi_ghosts = _once_per_time(boundary_psi)
+    psi_ghosts = _once_per_time(boundary_psi, grid.outer_ghost_radii())
 
     def reconstruct(p, tt):
-        return lam00 - tt * ric0 + grid.ddbar(p, _ghosts_for(psi_ghosts, grid, tt))
+        return lam00 - tt * ric0 + grid.ddbar(p, psi_ghosts(tt))
 
     def rhs(tt, v, out):
         np.log(np.divide(reconstruct(v[0], tt), lam00, out=out[0]), out=out[0])
@@ -509,8 +550,8 @@ def normalize(run: RadialRun, s: float) -> NormalizedFlowState:
 
     g_tilde = np.exp(-s) * lam_at(t_target)
     phi_prime = np.log(g_tilde / lam1) - phi
-    ghosts = run.log_ghosts                     # log g~ = log lam - s
-    shifted = None if ghosts is None else lambda r, t: ghosts(r, t) - s
-    resid = radial_rhs(run.grid, g_tilde, t_target, shifted, normalized=True)
+    ghosts = run.log_ghosts_at(t_target)        # log g~ = log lam - s
+    resid = run.grid.ddbar(np.log(g_tilde),
+                           None if ghosts is None else ghosts - s) - g_tilde
     ke = float(np.max(np.abs(resid / g_tilde)))
     return NormalizedFlowState(s, g_tilde, phi, phi_prime, ke)

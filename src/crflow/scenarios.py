@@ -53,7 +53,17 @@ H_METRICS = {
     "hyperbolic-ke": (RD.ke_lambda, _RADIAL),
 }
 
-BOUNDARIES = ("exact-homothety", "exact-ke", "extrapolate")
+# flow.boundary -> (cfg -> the field lam(r, t) that a radial run's ghosts
+# take), the one place a ghost field is defined and the one place it is
+# declared steady: the run's exact flow, the KE profile, which does not
+# depend on time and so is a `radial.Steady` that a run evaluates once, or
+# None, to extrapolate.  Phase 2 of a two-phase run takes the KE ghosts.
+GHOSTS = {
+    "exact-homothety": lambda cfg: _exact_flow(cfg),
+    "exact-ke": lambda cfg: RD.Steady(RD.ke_lambda),
+    "extrapolate": lambda cfg: None,
+}
+BOUNDARIES = tuple(GHOSTS)
 
 DEFAULTS = {
     "seed": 0,
@@ -226,9 +236,8 @@ def _radial_datum(cfg):
     extrapolate."""
     fl = cfg["flow"]
     profile = RADIAL_DATA[fl["initial"]][0]
-    ghosts = {"exact-homothety": _exact_flow(cfg), "extrapolate": None,
-              "exact-ke": lambda r, t: RD.ke_lambda(r)}[fl["boundary"]]
-    return (lambda r: profile(r, fl["perturbation_amplitude"])), ghosts
+    return ((lambda r: profile(r, fl["perturbation_amplitude"])),
+            GHOSTS[fl["boundary"]](cfg))
 
 
 class ScenarioResult:
@@ -282,7 +291,7 @@ def _execute_flow(cfg, result: ScenarioResult):
             init, rmax, fl["phase1_t"], boundary=bnd,
             frame_dt=fl["phase1_t"] / 20.0, **common)
         if not phase1.broken:
-            bnd2 = (lambda r, s: RD.ke_lambda(r)) if bnd is not None else None
+            bnd2 = GHOSTS["exact-ke"](cfg) if bnd is not None else None
             result.run = RD.run_normalized_radial(
                 phase1.frames[-1].lam, rmax, fl["s_max"], boundary=bnd2,
                 frame_ds=fl["frame_dt"], **common)

@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from crflow import flow as FL
 from crflow import radial as RD
 from crflow import scenarios as SC
 from crflow.errors import FlowBreakdownError
+from crflow.flow import (_GAMMA, _SDIRK_A, _SDIRK_C, _SDIRK_E, _march, rtol)
 from crflow.flow import (DiskGrid, cfl_bound, ddbar_periodic, ddbar_periodic_4th,
                          periodic_solver, periodic_symbol, require_positive,
                          rk4, run_disk2d_flow, run_torus_flow,
@@ -275,6 +277,119 @@ def test_sdirk4_starts_from_a_zero_state():
     assert err is None and t == 1.0 and steps > 0
     assert abs(y[0] - (1.0 - np.exp(-1.0))) <= 1e-9
 
+
+def _sdirk4_reference(y, t_end, rhs, factor, check, *, frame_dt=None,
+                      frame=None, measure=lambda d: d):
+    """`sdirk4` as it was written before its work arrays: every stage sum,
+    residual and size a fresh temporary.  The reference that the buffered
+    stepper must reproduce bit for bit."""
+    hk = np.empty((5,) + y.shape)       # h times each stage's derivative
+    f = np.empty_like(y)
+    h = None
+
+    def size(v, sc):
+        return float(np.max(np.abs(v) / sc))
+
+    def attempt(t, y, dt, sc):
+        """(new, error size) of one step, or None if Newton fails."""
+        solve = factor(t, y, _GAMMA * dt)
+        for i, (a, c) in enumerate(zip(_SDIRK_A, _SDIRK_C)):
+            z = y + sum(aj * hk[j] for j, aj in enumerate(a))
+            stage = z + _GAMMA * hk[i - 1] if i else y.copy()
+            prev = None
+            for _ in range(7):
+                rhs(t + c * dt, stage, f)
+                d = solve(z + _GAMMA * dt * f - stage)
+                stage += d
+                dn = size(measure(d), sc)
+                if not dn < np.inf:
+                    return None
+                if prev is not None:
+                    rate = dn / prev
+                    if rate >= 1.0:
+                        return None
+                    if rate / (1.0 - rate) * dn <= 1e-2:
+                        break
+                elif dn <= 1e-4:    # negligible at once, as on a fixed point
+                    break
+                prev = dn
+            else:
+                return None
+            hk[i] = (stage - z) / _GAMMA
+        err = solve(sum(e * hk[i] for i, e in enumerate(_SDIRK_E) if e))
+        return stage, size(measure(err), sc)
+
+    def advance(t, y, step, limit):
+        nonlocal h
+        sc = rtol * (1.0 + np.abs(y))
+        if h is None:       # Hairer's initial step, floored on a zero state
+            rhs(t, y, f)
+            yn, fn = size(y, sc), size(f, sc)
+            if fn == 0.0:
+                h = limit
+            elif yn < 1e-5 or fn < 1e-5:
+                h = min(limit, 1e-6)
+            else:
+                h = min(limit, 1e-2 * yn / fn)
+        while True:
+            dt = min(h, limit)
+            if dt < 1e-14 * (1.0 + t):
+                raise FlowBreakdownError(t, ("dt", dt), "step size underflow")
+            out = attempt(t, y, dt, sc)
+            if out is None:
+                h = dt / 4
+                continue
+            new, err = out
+            if err <= 1.0:
+                grow = min(5.0, 0.9 * err ** -0.25) if err > 0.0 else 5.0
+                # a step cut short to land on a frame keeps the larger size
+                h = max(h, dt * grow) if dt < h else dt * grow
+                return new, dt
+            h = dt * max(0.2, 0.9 * err ** -0.25) if err < np.inf else dt / 4
+
+    return _march(y, t_end, advance, check, frame_dt, frame)
+
+
+def _outcome(run):
+    """(steps, frames) of a run, each frame a tuple of arrays and times: a
+    radial run's (step, time, lam, phi, phi'), a torus run's (t, lam, psi)."""
+    if isinstance(run, RD.RadialRun):
+        return run.steps_taken, [(fr.step, fr.time, fr.lam, fr.phi,
+                                  fr.phi_prime) for fr in run.frames]
+    return run[0].step_count, run[1]
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: RD.run_normalized_radial(
+        lambda r: RD.perturbed_poincare_lambda(r, 0.2), 0.8, 1.5, nodes=48,
+        order=6, boundary=RD.Steady(RD.ke_lambda), frame_ds=0.25),
+        id="normalized-ke"),
+    pytest.param(lambda: RD.run_normalized_radial(
+        RD.poincare_lambda, 0.8, 1.0, nodes=48, frame_ds=0.25,
+        boundary=lambda r, s: np.exp(-s) * RD.homothety_lambda(r, np.expm1(s))),
+        id="normalized-exact-homothety"),
+    pytest.param(lambda: RD.run_radial_flow(
+        lambda r: RD.perturbed_poincare_lambda(r, 0.2), 0.8, 0.3, nodes=48,
+        frame_dt=0.05), id="unnormalized-extrapolated"),
+    pytest.param(lambda: run_torus_flow(bumpy_lam0(32), 1.0, 0.004,
+                                        mode="potential"),
+                 id="torus-potential"),
+])
+def test_sdirk4_is_its_reference_loop_bit_for_bit(make, monkeypatch):
+    """The buffered `sdirk4` gives every frame and the step count of the
+    loop that forms each stage sum, residual and size as a new array: the
+    same floating-point operations in the same order, on the same
+    closures, with time-dependent and steady ghosts, given and extrapolated
+    closures, and the torus potential form with its lam measure."""
+    steps, frames = _outcome(make())
+    monkeypatch.setattr(RD, "sdirk4", _sdirk4_reference)
+    monkeypatch.setattr(FL, "sdirk4", _sdirk4_reference)
+    ref_steps, ref_frames = _outcome(make())
+    assert steps == ref_steps > 0
+    assert len(frames) == len(ref_frames) > 2
+    for got, want in zip(frames, ref_frames):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 def test_disk2d_flow_refuses_nan():
     """A NaN interior node is a breakdown at t = 0, not a silent NaN run."""

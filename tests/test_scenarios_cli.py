@@ -225,6 +225,26 @@ def test_exact_homothety_on_a_normalized_run_is_its_normalized_flow():
     assert report["checks"][0]["extra"]["max_rel_error"] < 1e-7
 
 
+def test_two_phase_run_evaluates_its_ke_ghosts_once(monkeypatch):
+    """The bundled poincare-homothety run's phase 2 takes the KE profile as
+    ghosts, which the ghost table declares steady: the run evaluates it at
+    the ghost radii once, for the stepper and every check alike.  Evaluated
+    at each stage time, it took 4,000-odd calls."""
+    calls = []
+    ke = RD.ke_lambda
+
+    def counted(r):
+        calls.append(np.min(r))
+        return ke(r)
+
+    monkeypatch.setattr(RD, "ke_lambda", counted)
+    cfg = _bundled("poincare-homothety")
+    report = SC.run_scenario(cfg)
+    assert report["pass"]
+    ghost_calls = [r for r in calls if r > cfg["chart"]["r_max"]]
+    assert len(ghost_calls) == 1
+
+
 def test_bundled_scenarios_load():
     with open(SC.bundled_manifest()) as f:
         names = json.load(f)["scenarios"]
