@@ -30,9 +30,11 @@ _QUAD_LIMIT = 256
 
 
 def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported at the first call: the import loads
-    scipy.special, scipy.optimize and scipy.sparse.linalg (about 24 MB),
-    which a run that never integrates frakF does not need."""
+    """scipy.integrate.quad, imported at frakF's first integral: the import
+    loads scipy.special, scipy.optimize and scipy.sparse.linalg (about
+    24 MB), which a run that never integrates frakF does not need.  No other
+    crflow module imports scipy at its own import; the radial grid's banded
+    LAPACK arrives with the first `radial.RadialGrid`."""
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(*args, **kwargs)
 

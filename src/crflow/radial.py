@@ -31,10 +31,13 @@ diag(d) - hg A through its row-scaled twin (`RadialGrid.band_solver`), which
 extrapolated block has A 1 = 0, which keeps a uniform state bitwise
 uniform.  Their right-hand sides and solves write into `out` or into
 arrays kept per run, and the solves run LAPACK in place
-(`RadialGrid._band_lu`).  The explicit step would stay at h^2 min lam
-however smooth the solution: 141,967 steps for the 512-node homothety to
-t = 0.5, where SDIRK4 takes 12 (frames every 0.05), and 96,500 for the flat
-normalized run to s = 3, where it takes 226.  Only the potential form steps through `flow.rk4`
+(`RadialGrid._band_lu`).  scipy.linalg, which holds `dgbmv`, `dgbtrf` and
+`dgbtrs`, is imported when the first `RadialGrid` is built, not with this
+module: `import crflow` loads numpy and no scipy module, and so does a torus
+run.  The explicit step would stay at h^2 min lam however smooth the
+solution: 141,967 steps for the 512-node homothety to t = 0.5, where SDIRK4
+takes 12 (frames every 0.05), and 96,500 for the flat normalized run to
+s = 3, where it takes 226.  Only the potential form steps through `flow.rk4`
 under `cfl_bound`.  Positivity is guarded with `flow.require_positive`.
 
 Exact references on the disk (checked symbolically):
@@ -48,10 +51,22 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .flow import cfl_bound, require_positive, rk4, sdirk4
+
+# scipy's banded BLAS/LAPACK, bound at the first `RadialGrid`
+dgbmv = dgbtrf = dgbtrs = None
+
+
+def _load_band_lapack():
+    """Import `dgbmv`, `dgbtrf` and `dgbtrs` once: scipy.linalg's import
+    costs about a quarter of a second and 26 MB of resident memory, which a
+    process that builds no radial grid does not need."""
+    global dgbmv, dgbtrf, dgbtrs
+    if dgbmv is None:
+        from scipy.linalg.blas import dgbmv
+        from scipy.linalg.lapack import dgbtrf, dgbtrs
+
 
 # ---------------------------------------------------------------------------
 # exact solutions
@@ -104,6 +119,7 @@ class RadialGrid:
     def __init__(self, r_max: float, nodes: int, order: int = 4):
         if order not in (4, 6):
             raise ValueError("radial stencil order must be 4 or 6")
+        _load_band_lapack()
         self.r_max = float(r_max)
         self.m = m = int(nodes)
         self.order = order

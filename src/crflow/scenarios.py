@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import time
 
@@ -120,7 +121,9 @@ def _shape_errors(raw):
     """(unknown, mistyped) violations: one per key that no default, chart
     field or top-level field names (a misspelt `flow.frame_dt` would run at its
     default), one per section that is not an object or value unfit for its
-    default's type."""
+    default's type, and one per number that is not finite: `json.load` reads
+    NaN and +-Infinity, which would run a flow forever, pass any tolerance
+    and make report.json non-strict JSON."""
     top = {**DEFAULTS, "chart": CHART_KEYS, "scenario_name": "", "kind": "",
            "output": "", "checks": []}
     unknown, mistyped = [], []
@@ -138,6 +141,8 @@ def _shape_errors(raw):
             elif not _fits(v, fields[k]):
                 mistyped.append(f"{path} has the wrong type: {v!r} "
                                 f"(default {fields[k]!r})")
+            elif isinstance(v, float) and not math.isfinite(v):
+                mistyped.append(f"{path} must be a finite number, got {v!r}")
     walk(raw, top, "")
     return unknown, mistyped
 
@@ -145,8 +150,8 @@ def _shape_errors(raw):
 def load_config(source) -> dict:
     """Parse + validate a scenario config (path or dict); returns the merged
     config with every default made explicit.  Raises ConfigError, and
-    nothing else, listing all violations; a value of the wrong type stops it
-    before the values are checked."""
+    nothing else, listing all violations; a value of the wrong type, or a
+    number that is not finite, stops it before the values are checked."""
     if isinstance(source, str):
         try:
             with open(source) as f:
@@ -176,7 +181,7 @@ def load_config(source) -> dict:
     if kind in KINDS and fl["initial"] not in data:
         errs.append(f"flow.initial for {kind} must be one of {tuple(data)}, "
                     f"got {fl['initial']!r}")
-    # the horizons a kind runs to; NaN fails, as a run to NaN never ends
+    # the horizons a kind runs to
     horizons = {"two-phase-normalized": ("phase1_t", "s_max"),
                 "radial-normalized": ("s_max",)}.get(kind, ("t_max",))
     errs.extend(f"{kind} needs flow.{key} > 0" for key in horizons

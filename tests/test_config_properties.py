@@ -103,7 +103,8 @@ def test_load_config_raises_only_config_error(raw):
     except ConfigError as e:
         assert e.violations and all(isinstance(v, str) for v in e.violations)
     else:
-        json.dumps(cfg)             # echoed in report.json as it stands
+        # echoed in report.json as it stands, and strict JSON
+        json.dumps(cfg, allow_nan=False)
 
 
 @settings(max_examples=200, deadline=None)

@@ -59,6 +59,60 @@ def test_import_loads_neither_fft_nor_quadrature():
                          text=True, env=dict(os.environ), check=True)
     assert out.stdout.split() == []
 
+
+def _scipy_modules_after(code):
+    """The scipy modules loaded in a fresh interpreter after `code`, one
+    list per `report()` that it calls."""
+    prelude = ("import sys\n"
+               "def report():\n"
+               "    print(' '.join(sorted(m for m in sys.modules\n"
+               "                          if m.split('.')[0] == 'scipy')))\n")
+    out = subprocess.run([sys.executable, "-c", prelude + code],
+                         capture_output=True, text=True,
+                         env=dict(os.environ), check=True)
+    return [line.split() for line in out.stdout.splitlines()]
+
+
+def test_cold_start_loads_no_scipy_until_the_first_radial_grid():
+    """`import crflow.cli` and torus flows in both forms load no scipy
+    module; the first `RadialGrid` brings scipy.linalg's banded LAPACK."""
+    cli, torus, grid = _scipy_modules_after(
+        "import numpy as np\n"
+        "import crflow.cli\n"
+        "report()\n"
+        "from crflow.flow import run_torus_flow\n"
+        "lam0 = np.exp(0.1 * np.cos(2 * np.pi * np.arange(16) / 16))\n"
+        "for mode in ('metric', 'potential'):\n"
+        "    run_torus_flow(np.outer(lam0, lam0), 1.0, 0.002, mode=mode)\n"
+        "report()\n"
+        "from crflow.radial import RadialGrid\n"
+        "RadialGrid(0.8, 16)\n"
+        "report()\n")
+    assert cli == [] and torus == []
+    assert "scipy.linalg" in grid
+
+
+@pytest.mark.parametrize("base, section, key, literal", [
+    (FAST_RADIAL, "flow", "s_max", "Infinity"),
+    (FAST_RADIAL, "tolerances", "tracking", "Infinity"),
+    (FAST_TORUS, "flow", "min_eig_floor", "-Infinity"),
+], ids=["s_max", "tolerance", "min_eig_floor"])
+def test_config_file_rejects_numbers_that_are_not_finite(tmp_path, base,
+                                                         section, key,
+                                                         literal):
+    """json.load reads +-Infinity (and NaN); each is one ConfigError naming
+    its key, before the loader reads any value."""
+    cfg = json.loads(json.dumps(base))
+    cfg[section][key] = "@"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"@"', literal))
+    with pytest.raises(ConfigError) as ei:
+        SC.load_config(str(path))
+    assert ei.value.violations == [
+        f"{section}.{key} must be a finite number, got "
+        f"{float(literal)!r}"]
+
+
 def test_config_validation_lists_every_violation():
     bad = {"scenario_name": "", "kind": "nope",
            "metrics": {"h": "no-such-key"},
