@@ -5,15 +5,20 @@ supremum of t q(t) on (0, T] is claimed bounded by
 
     bound(a, b, T) = (1 + sqrt(1 + 4 a b T^2)) / (2 a).
 
-`chen_ode_oracle` integrates the ODE numerically (adaptive-substep RK4, so
-large q0 transients stay stable) and reports the bound's slack; the closed
-Riccati solution is exposed separately as a cross-check for the integrator.
+`chen_ode_oracle` and `chen_sweep` integrate the ODE through `flow.rk4`,
+all cases on one clock s = t/T under the stiffest case's step, so large q0
+transients stay stable, and report the bound's slack; the closed Riccati
+solution is exposed separately as a cross-check for the integrator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .flow import rk4
+
+_STEPS = 2000      # the least number of steps a run takes
 
 
 def chen_bound(alpha, beta, T):
@@ -33,38 +38,31 @@ def riccati_closed_form(alpha, beta, q0, t):
     return qs * num / den
 
 
-def _integrate_tq_sup(alpha, beta, T, q0, base_steps=2000):
-    """Vectorized adaptive RK4; returns sup over step ends of t*q (per case)."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    beta = np.broadcast_to(np.asarray(beta, dtype=float), alpha.shape).copy()
-    T = np.broadcast_to(np.asarray(T, dtype=float), alpha.shape).copy()
-    q = np.broadcast_to(np.asarray(q0, dtype=float), alpha.shape).astype(float).copy()
-    t = np.zeros_like(q)
-    sup = np.maximum(0.0, t * q)
-    dt_base = T / base_steps
-    active = t < T
+def _integrate_tq_sup(alpha, beta, T, q0):
+    """sup over accepted steps of t*q per case: dq/ds = T (beta - alpha q^2)
+    by `flow.rk4`, the step at most 1/_STEPS and 0.2 / (alpha |q| T) (that
+    is |2 alpha q| dt <= 0.4) over every case.  Cases need finite alpha > 0,
+    beta >= 0, T > 0 and q0 >= 0, so that q stays between q0 and
+    sqrt(beta/alpha) and every run ends."""
+    alpha, beta, T, q = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(x, dtype=float))
+          for x in (alpha, beta, T, q0)))
+    if not (np.isfinite([alpha, beta, T, q]).all() and (alpha > 0).all()
+            and (beta >= 0).all() and (T > 0).all() and (q >= 0).all()):
+        raise ValueError("need finite alpha > 0, beta >= 0, T > 0 and q0 >= 0")
+    sup = np.zeros_like(q)
 
-    def f(qq):
-        return -alpha * qq**2 + beta
+    def rhs(s, qq, out):
+        np.square(qq, out=out)
+        out *= -alpha
+        out += beta
+        out *= T
 
-    it = 0
-    while active.any():
-        it += 1
-        if it > 200000:
-            raise RuntimeError("chen oracle failed to advance")
-        # stiffness-limited local step: |2 alpha q| dt <= 0.4
-        scale = 0.4 / (2.0 * alpha * np.maximum(np.abs(q), 1e-30))
-        dt = np.minimum(dt_base, scale)
-        dt = np.minimum(dt, T - t)
-        dt = np.where(active, dt, 0.0)
-        k1 = f(q)
-        k2 = f(q + 0.5 * dt * k1)
-        k3 = f(q + 0.5 * dt * k2)
-        k4 = f(q + dt * k3)
-        q = q + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t + dt
-        sup = np.maximum(sup, t * q)
-        active = t < T - 1e-15
+    def cfl(s, qq):
+        stiff = np.max(alpha * np.maximum(np.abs(qq), 1e-30) * T)
+        return min(1.0 / _STEPS, 0.2 / float(stiff))
+
+    rk4(q, 1.0, rhs, cfl, lambda s, qq: np.maximum(sup, s * T * qq, out=sup))
     return sup
 
 
@@ -84,20 +82,18 @@ class ChenResult:
 
 def chen_ode_oracle(alpha, beta, T, q0) -> ChenResult:
     """Integrate q' = -alpha q^2 + beta and compare sup t q against the bound."""
-    if alpha <= 0 or beta < 0 or T <= 0:
-        raise ValueError("need alpha > 0, beta >= 0, T > 0")
     sup = float(_integrate_tq_sup(alpha, beta, T, q0)[0])
     return ChenResult(alpha, beta, T, q0, sup, float(chen_bound(alpha, beta, T)))
 
 
-def chen_sweep(alphas, betas, Ts, q0s, base_steps=2000):
+def chen_sweep(alphas, betas, Ts, q0s):
     """All (alpha, beta, T, q0) combinations at once; returns the worst slack.
 
     Output: (worst_slack, worst_case_tuple, count).
     """
     A, B, TT, Q = np.meshgrid(alphas, betas, Ts, q0s, indexing="ij")
     A, B, TT, Q = (x.ravel() for x in (A, B, TT, Q))
-    sup = _integrate_tq_sup(A, B, TT, Q, base_steps)
+    sup = _integrate_tq_sup(A, B, TT, Q)
     bound = chen_bound(A, B, TT)
     slack = bound - sup
     i = int(np.argmin(slack))

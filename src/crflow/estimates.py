@@ -76,28 +76,34 @@ class BarrierConfig:
     n: int
     alpha: float            # metric equivalence constant, >= 1
     beta: float = 0.0       # torsion/derivative bound
-    k: float = 0.0          # negative-HSC level
     kappa0: float = 0.0     # combined curvature-torsion bound
     c1: float = 1.0
     c2: float = 1.0
     s_frak: Optional[float] = None
 
     def __post_init__(self):
-        if self.alpha < 1.0:
-            raise ValueError("alpha must be >= 1")
-        if self.beta < 0.0 or self.k < 0.0:
-            raise ValueError("beta and k must be nonnegative")
+        errs = self.violations(self.alpha, self.beta)
+        if errs:
+            raise ValueError("; ".join(errs))
         if self.s_frak is None:
             self.s_frak = self.kappa0 + self.c2 * self.beta * (1.0 + self.beta)
 
+    @staticmethod
+    def violations(alpha, beta):
+        """The rule on the constants, as `load_config` reads it too."""
+        return [f"{name} must be >= {low:g}, got {value!r}" for name, value, low
+                in (("alpha", alpha, 1.0), ("beta", beta, 0.0)) if value < low]
+
     @property
     def predicted_existence_time(self):
-        return 1.0 / (2.0 * self.c1 * (self.n * self.alpha + 1.0) ** 3 * self.s_frak)
+        return 1.5 * self.barrier_domain_end
 
     @property
     def barrier_domain_end(self):
-        """v(t) is finite exactly on [0, this)."""
-        return 1.0 / (3.0 * self.c1 * (self.n * self.alpha + 1.0) ** 3 * self.s_frak)
+        """v(t) is finite exactly on [0, this); where c1 S = 0, v is the
+        constant n alpha + 1 and this is inf."""
+        rate = 3.0 * self.c1 * (self.n * self.alpha + 1.0) ** 3 * self.s_frak
+        return 1.0 / rate if rate else math.inf
 
     def v(self, t, c1=None):
         c1 = self.c1 if c1 is None else c1
@@ -115,6 +121,7 @@ def trace_barrier_check(run: RadialRun, config: BarrierConfig,
     Because the dimensional constant c1 is not pinned, the check also reports
     the smallest c1 for which the barrier dominates every frame (frames past
     the barrier's blow-up time are marked out-of-domain, not failures).
+    Where S = 0, c1 does not enter v, and the calibrated c1 is 0.
     """
     if run.h_reference is None:
         raise ValueError("run has no h reference for the trace monitor")
@@ -131,7 +138,7 @@ def trace_barrier_check(run: RadialRun, config: BarrierConfig,
             slack = (vt - 1.0) - sup_lam
             if slack < worst:
                 worst, where = slack, ("t", fr.time)
-        if fr.time > 0:
+        if fr.time > 0 and config.s_frak:
             # smallest c1 with v(t) - 1 >= sup_lam at this frame
             need = (na1**-3 - (sup_lam + 1.0) ** -3) / (3.0 * config.s_frak * fr.time)
             c1_req = max(c1_req, need)

@@ -13,11 +13,13 @@ and its potential form, with Ric0 = -ddbar log lam0,
 
 Space discretization is the 9-point second-order stencil, `ddbar_periodic`,
 built from slices of one wrap-padded copy of the field.  There are two
-steppers, on one loop (`_march`) that owns frames, breakdown and the step
-count: `sdirk4`, an L-stable implicit SDIRK4 with its own error control,
-steps both torus forms and every radial metric flow, where accuracy allows
-steps far above the explicit limit; `rk4`, explicit RK4 under a `cfl_bound`
-step limit, steps only the masked disk and the radial potential form.
+steppers, on one loop (`_march`), the package's only time loop, that owns
+frames, breakdown and the step count: `sdirk4`, an L-stable implicit SDIRK4
+with its own error control, steps both torus forms and every radial metric
+flow, where accuracy allows steps far above the explicit limit; `rk4`,
+explicit RK4 under a step limit (`cfl_bound` for the flows), steps the
+masked disk, the radial potential form and the Chen oracle's Riccati ODEs,
+where SDIRK4 measures slower (see `rk4`).
 `sdirk4` allocates its work arrays once per run and forms every stage sum,
 Newton residual and size in place, in the floating-point order of the
 formulas, so a step costs calls rather than temporaries and its frames are
@@ -117,6 +119,14 @@ def rk4(y, t_end, rhs, cfl, check, *, frame_dt=None, frame=None):
     FlowBreakdownError on the initial and each accepted state; stages go
     unchecked, as a negative stage turns into NaN, which fails the check.
     Frames, the return value and breakdown are `_march`'s.
+
+    It steps three things, each of which SDIRK4 steps slower (2-core
+    x86-64 VM): the masked disk (`run_disk2d_flow`), 0.9 s on the perturbed
+    datum at N = 193, where SDIRK4 took 37.4 s with a sparse LU Newton
+    matrix and 8.1 s with the torus's FFT twin; the radial potential form
+    (`radial.run_radial_potential_flow`), 0.46 s, where SDIRK4 needs 4,607
+    steps (1.5-2.0 s) to meet the same bound on lam; and the Chen oracle
+    (`chen`), all of whose cases share one explicit step.
     """
     k = np.empty((4,) + y.shape)
 

@@ -30,11 +30,10 @@ diag(d) - hg A through its row-scaled twin (`RadialGrid.band_solver`), which
 `dgbtrf` factors from the first m columns of the same ddbar array; the
 extrapolated block has A 1 = 0, which keeps a uniform state bitwise
 uniform.  Their right-hand sides and solves write into `out` or into
-arrays kept per run, and the solves run LAPACK in place
-(`RadialGrid._band_lu`).  scipy.linalg, which holds `dgbmv`, `dgbtrf` and
-`dgbtrs`, is imported when the first `RadialGrid` is built, not with this
-module: `import crflow` loads numpy and no scipy module, and so does a torus
-run.  The explicit step would stay at h^2 min lam however smooth the
+arrays kept per run, and `band_solver`'s solves run LAPACK in place.
+scipy.linalg, which holds `dgbmv`, `dgbtrf` and `dgbtrs`, is imported when
+the first `RadialGrid` is built, not with this module: `import crflow`
+loads numpy and no scipy module, and so does a torus run.  The explicit step would stay at h^2 min lam however smooth the
 solution: 141,967 steps for the 512-node homothety to t = 0.5, where SDIRK4
 takes 12 (frames every 0.05), and 96,500 for the flat normalized run to
 s = 3, where it takes 226.  Only the potential form steps through `flow.rk4`
@@ -216,13 +215,8 @@ class RadialGrid:
         twin of diag(d) - hg A, the SDIRK4 matrix of both radial forms.  The
         extrapolated block has A 1 = 0, so N 1 = 1 and the solve is
         p[0] + N^-1 (p - p[0]): a uniform p comes out bitwise uniform.
-        `solve` leaves p as it is; `_band_lu`'s solves in place."""
-        solve = self._band_lu(d, hg, given)
-        return lambda p: solve(np.array(p, dtype=float))
-
-    def _band_lu(self, d, hg, given):
-        """`band_solver`'s solve, overwriting p, a contiguous float row, with
-        the result that it returns."""
+        `solve` overwrites p, a contiguous float row, with the result that it
+        returns."""
         m, lo, ng = self.m, self._lo, self.ng
         band = self._ddbar[0 if given else 1]
         lu = np.empty((2 * lo + ng + 1, m), order="F")  # lo rows of fill-in
@@ -388,7 +382,7 @@ def run_radial_flow(lam0, r_max, t_end, *, nodes=256, boundary=None,
         out[:] = grid.ddbar(np.log(v, out=u), ghosts_at(tt))
 
     def factor(tt, lam, hg):
-        solve_in_place = grid._band_lu(lam, hg, given)
+        solve_in_place = grid.band_solver(lam, hg, given)
 
         def solve(r):
             x = solve_in_place(np.divide(r, lam, out=w))
@@ -452,7 +446,7 @@ def run_normalized_radial(lam0, r_max, s_end, *, nodes=128, boundary=None,
         follows from v's."""
         lam = np.exp(y[0])
         d = lam + hg * grid.ddbar(y[0], ghosts_at(ss))
-        solve_v = grid._band_lu(d, hg, given)
+        solve_v = grid.band_solver(d, hg, given)
         scale = lam / d
         damp = 1.0 + hg
 

@@ -80,8 +80,8 @@ DEFAULTS = {
         "s_max": None,
         "min_eig_floor": 1e-10,
     },
-    "barrier": {"alpha": 1.0, "beta": 0.0, "k": 0.0, "kappa0": 1.0,
-                "c1": 1.0, "c2": 1.0},
+    "barrier": {"alpha": 1.0, "beta": 0.0, "kappa0": 1.0, "c1": 1.0,
+                "c2": 1.0},
     "tolerances": {
         "tracking": 1e-6,
         "tracking_interior": 0.85,
@@ -208,6 +208,9 @@ def load_config(source) -> dict:
         errs.append(f"flow.boundary must be one of {BOUNDARIES}")
     if fl["order"] not in (4, 6):
         errs.append("flow.order must be 4 or 6")
+    bar = cfg["barrier"]
+    errs.extend(f"barrier.{e}" for e in
+                estimates.BarrierConfig.violations(bar["alpha"], bar["beta"]))
     h = cfg["metrics"]["h"]
     if h not in H_METRICS:
         errs.append(f"metrics.h must be one of {tuple(H_METRICS)}, got {h!r}")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crflow import chen, flow
 from crflow.chen import (chen_bound, chen_ode_oracle, chen_sweep,
                          riccati_closed_form)
 
@@ -57,3 +58,27 @@ def test_input_validation():
         chen_ode_oracle(1.0, -1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         chen_ode_oracle(1.0, 1.0, 0.0, 1.0)
+    for q0 in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            chen_ode_oracle(1.0, 1.0, 1.0, q0)
+    with pytest.raises(ValueError):
+        chen_sweep(np.array([0.0, 1.0]), np.array([1.0]), np.array([1.0]),
+                   np.array([1.0]))
+
+
+def test_oracle_and_sweep_step_through_flow_rk4(monkeypatch):
+    """Both entry points integrate through `flow.rk4`, once per call, all
+    cases on one clock s = t/T that ends at 1."""
+    ends = []
+
+    def counted(y, t_end, rhs, cfl, check, **kw):
+        out = flow.rk4(y, t_end, rhs, cfl, check, **kw)
+        ends.append((t_end, out[2], out[3]))
+        return out
+    monkeypatch.setattr(chen, "rk4", counted)
+    assert chen_ode_oracle(1.0, 1.0, 1.0, 10.0).slack >= -1e-6
+    assert chen_sweep(np.array([0.5, 2.0]), np.array([0.0, 3.0]),
+                      np.array([0.5, 1.5]), np.array([0.1, 10.0]))[0] >= -1e-6
+    assert len(ends) == 2
+    for t_end, t, err in ends:
+        assert t_end == 1.0 and t == pytest.approx(1.0) and err is None

@@ -42,6 +42,11 @@ def test_barrier_config_invariants():
     assert bc.predicted_existence_time == pytest.approx(1.0 / (2 * 27 * bc.s_frak))
     with pytest.raises(ValueError):
         ES.BarrierConfig(n=1, alpha=0.5)
+    # where c1 S = 0 (S = 0 or c1 = 0), v is n alpha + 1 on [0, inf)
+    for kappa0, c1 in ((0.0, 1.0), (1.0, 0.0)):
+        bc = ES.BarrierConfig(n=1, alpha=2.0, kappa0=kappa0, c1=c1)
+        assert bc.barrier_domain_end == bc.predicted_existence_time == np.inf
+        assert bc.v(np.array([0.0, 1.0, 1e9])).tolist() == [3.0, 3.0, 3.0]
 
 
 def test_trace_barrier_on_homothety(homothety_run):

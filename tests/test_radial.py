@@ -309,9 +309,9 @@ def test_band_is_the_given_closure_block():
     given block has no entries beyond ng off the diagonal; the extrapolated
     one, with no ghost columns, has a last row that reaches u[m - 4] and rows
     that sum to zero (A 1 = 0) to rounding.  `band_solver(d, hg, given)`
-    solves N x = p, N = I - hg diag(1/d) A with A from ddbar of unit vectors,
-    to a normwise backward error |N x - p| / (|N| |x| + |p|) of at most 1e-14
-    in the max norm."""
+    solves N x = p in place (here on a copy of p), N = I - hg diag(1/d) A
+    with A from ddbar of unit vectors, to a normwise backward error
+    |N x - p| / (|N| |x| + |p|) of at most 1e-14 in the max norm."""
     rng = np.random.default_rng(5)
     for order, nodes in ((4, 40), (6, 40), (6, 128)):
         grid = RD.RadialGrid(0.9, nodes, order)
@@ -337,7 +337,7 @@ def test_band_is_the_given_closure_block():
                 N = np.eye(nodes) - hg * A / d[:, None]
                 solve = grid.band_solver(d, hg, outer is not None)
                 for p in (rng.standard_normal(nodes), np.ones(nodes)):
-                    x = solve(p)
+                    x = solve(p.copy())
                     assert np.abs(N @ x - p).max() <= 1e-14 * (
                         np.abs(N).sum(axis=1).max() * np.abs(x).max()
                         + np.abs(p).max())

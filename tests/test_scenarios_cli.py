@@ -116,10 +116,13 @@ def test_config_file_rejects_numbers_that_are_not_finite(tmp_path, base,
 def test_config_validation_lists_every_violation():
     bad = {"scenario_name": "", "kind": "nope",
            "metrics": {"h": "no-such-key"},
-           "chart": {"grid_resolution": 4}, "checks": ["bogus-check"]}
+           "chart": {"grid_resolution": 4}, "checks": ["bogus-check"],
+           "barrier": {"alpha": 0.5, "beta": -1}}
     with pytest.raises(ConfigError) as ei:
         SC.load_config(bad)
     msg = str(ei.value)
+    assert "barrier.alpha" in msg
+    assert "barrier.beta" in msg
     assert "scenario_name" in msg
     assert "kind" in msg
     assert "no-such-key" in msg
@@ -132,12 +135,14 @@ def test_config_rejects_unknown_keys():
     bad["chart"]["topologgy"] = "periodic-box"
     bad["flow"]["safty"] = 0.5
     bad["flow"]["safety"] = 0.2     # retired: no flow a config runs has a CFL step
+    bad["barrier"] = {"k": 2.0}     # retired: no barrier formula reads it
     bad["frobnicate"] = True
     with pytest.raises(ConfigError) as ei:
         SC.load_config(bad)
     assert ei.value.violations == ["unknown key 'chart.topologgy'",
                                    "unknown key 'flow.safty'",
                                    "unknown key 'flow.safety'",
+                                   "unknown key 'barrier.k'",
                                    "unknown key 'frobnicate'"]
 
 
@@ -150,12 +155,15 @@ def test_config_rejects_unknown_keys():
     ("flow", "initial", "fubini-cap", "flow.initial"),
     ("flow", "t_max", float("nan"), "flow.t_max"),
     ("flow", "frame_dt", -0.001, "flow.frame_dt"),
+    ("barrier", "alpha", 0.5, "barrier.alpha"),
+    ("barrier", "beta", -1.0, "barrier.beta"),
 ])
 def test_config_rejects_values_no_run_honours(section, key, value, needle):
     """A value the integrator would cap or ignore is a ConfigError, not an
-    echo in report.json."""
+    echo in report.json; so is a barrier constant that the check would
+    refuse after the whole flow had run."""
     bad = json.loads(json.dumps(FAST_TORUS))
-    bad[section][key] = value
+    bad.setdefault(section, {})[key] = value
     with pytest.raises(ConfigError) as ei:
         SC.load_config(bad)
     assert len(ei.value.violations) == 1
@@ -219,6 +227,32 @@ def test_exact_homothety_is_the_datum_s_own_flow():
     flat["metrics"] = {"h": "euclidean"}
     report = SC.run_scenario(flat)
     assert report["checks"][0]["extra"]["max_rel_error"] == 0.0
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and +-Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_trace_barrier_with_s_zero_is_a_constant_barrier(tmp_path):
+    """kappa0 = beta = 0, the constants of the flat, torsion-free h, give
+    S = 0: the barrier is the constant n alpha + 1 on [0, inf), so every
+    frame lies in its domain and c1, which does not enter it, calibrates to
+    0.  The calibration once divided by S, and the run ended in an error."""
+    cfg = json.loads(json.dumps(FAST_RADIAL))
+    cfg["flow"]["initial"] = "poincare"
+    cfg["metrics"] = {"h": "euclidean"}
+    cfg["barrier"] = {"kappa0": 0.0, "beta": 0.0}
+    cfg["checks"] = ["trace-barrier"]
+    report = SC.run_scenario(cfg, str(tmp_path))
+    assert report["pass"]
+    extra = report["checks"][0]["extra"]
+    assert extra["frames_in_domain"] == extra["frames_total"] == 11
+    assert extra["calibrated_c1"] == 0.0
+    assert _strict_json((tmp_path / "r" / "report.json").read_text()) == \
+        json.loads(json.dumps(report))
 
 
 def _bundled(name):
