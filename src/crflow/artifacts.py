@@ -143,11 +143,20 @@ def svg_line_plot(xs, ys, title, width=640, height=400, margin=50):
     def sy(y):
         return height - margin - (y - y0) / (y1 - y0) * H
 
-    poly = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
+    # one polyline per phase: a two-phase run.csv holds phase 1's rows in t
+    # and then phase 2's in s, so the clock restarts where x decreases
+    segments = [[pts[0]]]
+    for prev, p in zip(pts, pts[1:]):
+        if p[0] < prev[0]:
+            segments.append([])
+        segments[-1].append(p)
+    polys = [" ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in seg)
+             for seg in segments]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<polyline points="{poly}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>',
+        *(f'<polyline points="{poly}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>'
+          for poly in polys),
         f'<line x1="{margin}" y1="{height-margin}" x2="{width-margin}" '
         f'y2="{height-margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '

@@ -153,16 +153,15 @@ class HscReport:
     samples: int
 
 
-def _hsc_value(R, G, X):
-    num = np.einsum('ijkl,i,j,k,l->', R, X, np.conj(X), X, np.conj(X)).real
-    den = np.einsum('ij,i,j->', G, X, np.conj(X)).real ** 2
-    return num / den
-
-
-def _hsc_grad(R, G, X):
-    """Wirtinger gradient d(HSC)/dXbar."""
+def _hsc_terms(R, G, X):
+    """R(X, Xbar, X, Xbar) and |X|^2_g: HSC(X) is num / nrm**2."""
     num = np.einsum('ijkl,i,j,k,l->', R, X, np.conj(X), X, np.conj(X)).real
     nrm = np.einsum('ij,i,j->', G, X, np.conj(X)).real
+    return num, nrm
+
+
+def _hsc_grad(R, G, X, num, nrm):
+    """Wirtinger gradient d(HSC)/dXbar, given X's `_hsc_terms`."""
     dnum = (np.einsum('imkl,i,k,l->m', R, X, X, np.conj(X))
             + np.einsum('ijkm,i,j,k->m', R, X, np.conj(X), X))
     dden = 2.0 * nrm * np.einsum('im,i->m', G, X)
@@ -195,9 +194,11 @@ def hsc_max(g: MetricProvider, point, samples=2048, ascent_steps=50,
     """kappa = max over directions of R(X, Xbar, X, Xbar)/|X|^4.
 
     Quasi-uniform sphere sampling with a fixed seed, then projected gradient
-    ascent from the best candidates.  Deterministic given the seed; ties
-    within 1e-12 resolve to the lexicographically smallest gauge-fixed
-    direction.
+    ascent from the best candidates.  A rejected step leaves the direction
+    where it was, so the ascent keeps its gradient until a step is accepted,
+    and takes the accepted point's numerator and norm from the evaluation
+    that accepted it.  Deterministic given the seed; ties within 1e-12
+    resolve to the lexicographically smallest gauge-fixed direction.
 
     The report's ``nabla_bar_T_norm``/``combined`` fields are filled from the
     frame sweep when ``torsion_term`` is "auto" (the metric's declared
@@ -237,17 +238,21 @@ def _hsc_kappa(g, point, samples, ascent_steps, seed, top_k):
     for idx in order[:top_k]:
         Xc = X[idx].copy()
         val = q[idx]
+        terms = _hsc_terms(R, G, Xc)
+        grad = None           # the gradient at Xc, kept until Xc moves
         eta = 0.2
         for _ in range(ascent_steps):
-            grad = _hsc_grad(R, G, Xc)
-            gn = np.linalg.norm(grad)
+            if grad is None:
+                grad = _hsc_grad(R, G, Xc, *terms)
+                gn = np.linalg.norm(grad)
             if gn < 1e-14:
                 break
             Xn = Xc + eta * grad / gn
             Xn /= np.linalg.norm(Xn)
-            vn = _hsc_value(R, G, Xn)
+            terms_n = _hsc_terms(R, G, Xn)
+            vn = terms_n[0] / terms_n[1]**2
             if vn > val:
-                Xc, val = Xn, vn
+                Xc, val, terms, grad = Xn, vn, terms_n, None
                 eta *= 1.2
             else:
                 eta *= 0.5

@@ -11,7 +11,9 @@ degree-7 smoothstep halves meeting at exactly 2/tau^2 (the profile is C^4).
 
 The exhaustion weight is frakF(s) = int_0^s phi f'; on phi's plateau the
 integral continues as f(s) - f(s_1) exactly, so no quadrature ever runs into
-the log singularity.
+the log singularity.  The quadrature calls its integrand phi f' one float at
+a time, and `FrakF._integrand` computes it in float arithmetic, as
+`phi_eval` and `f_derivatives` do on arrays and with the same bits.
 """
 from __future__ import annotations
 
@@ -68,7 +70,7 @@ def f_derivatives(s, tau, k):
 
 def _f_derivatives(s, tau, k):
     """`f_derivatives` on s (float or float array) known to lie in [0, 1):
-    the quadrature in `FrakF` calls it once per point of the switch window."""
+    `FrakF.derivative` calls it once per k on the whole sweep."""
     u = (s - 1.0 + tau) / tau
     uu = u * u          # products, not powers: numpy's vector pow can round
     w = 1.0 - uu        # differently from its scalar one
@@ -109,8 +111,11 @@ def _s3pp(x):
 
 
 def _p_int(x):
-    """int_0^x S3 = 7x^5 - 14x^6 + 10x^7 - 2.5x^8."""
-    return (((-2.5 * x + 10.0) * x - 14.0) * x + 7.0) * x**5
+    """int_0^x S3 = 7x^5 - 14x^6 + 10x^7 - 2.5x^8, in products rather than
+    x**5, so that a float and a float array give the same bits (see
+    `_f_derivatives`)."""
+    xx = x * x
+    return (((-2.5 * x + 10.0) * x - 14.0) * x + 7.0) * (xx * xx * x)
 
 
 @dataclass
@@ -173,6 +178,7 @@ class FrakF:
         self.spec = spec
         self.tau = spec.tau
         a, b = spec.phi_start, spec.phi_end
+        self._a, self._w = a, spec.mollifier_width      # for _integrand
         val, err = quad(self._integrand, a, b, epsabs=1e-13, epsrel=1e-12,
                         limit=_QUAD_LIMIT)
         self._full = val
@@ -180,7 +186,22 @@ class FrakF:
         self._f_end = f_eval(b, self.tau)
 
     def _integrand(self, s):
-        return phi_eval(s, self.spec) * _f_derivatives(s, self.tau, 1)
+        """phi(s) f'(s) for one float s, in float arithmetic: quad calls it
+        about sixty times per integral, one point at a time.  It takes the
+        branches and operations of `phi_eval` and `_f_derivatives`, so its
+        value is theirs bit for bit."""
+        tau = self.tau
+        v = (s - self._a) / self._w
+        if v <= 0.0:
+            phi = 0.0
+        elif v >= 1.0:
+            phi = 1.0
+        elif v <= 0.5:
+            phi = _p_int(2.0 * v)
+        else:
+            phi = 1.0 - _p_int(2.0 * (1.0 - v))
+        u = (s - 1.0 + tau) / tau
+        return phi * (2.0 * u / (tau * (1.0 - u * u)) if u > 0 else 0.0)
 
     def value(self, s):
         s_arr = np.atleast_1d(_in_domain(s, "frakF"))
@@ -298,7 +319,9 @@ def conformal_completion(g0: MetricProvider, h: MetricProvider,
 
     beta is measured from the *untransformed* pair (torsion norms and the
     torsion-derivative norm of g0 against h); where F = 0 the transformed
-    tensors coincide with the originals exactly.
+    tensors coincide with the originals exactly.  (iv) reads kappa_i alone
+    from `hsc_max`, which therefore runs no torsion sweep of its own, and
+    takes |hnabla_i,dbar T_i| from a 128-sample `nabla_bar_torsion_norm`.
     """
     import math
 
@@ -331,7 +354,7 @@ def conformal_completion(g0: MetricProvider, h: MetricProvider,
         c_needed["i"] = max(c_needed["i"], t0i**2 / beta)
         c_needed["ii"] = max(c_needed["ii"], t0i * thi / beta)
         c_needed["iii"] = max(c_needed["iii"], nb0 / (beta * (1.0 + beta)))
-        rep = hsc_max(hi, z, samples=hsc_samples, seed=seed)
+        rep = hsc_max(hi, z, samples=hsc_samples, seed=seed, torsion_term=False)
         comb = (n + 1) / (2.0 * n) * rep.kappa + \
             nabla_bar_torsion_norm(hi, z, seed=seed, samples=128)
         c_needed["iv"] = max(c_needed["iv"],

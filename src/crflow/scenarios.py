@@ -25,17 +25,20 @@ KINDS = ("radial", "two-phase-normalized", "radial-normalized", "torus")
 # flow.initial -> datum, the one place a datum is defined, a being
 # flow.perturbation_amplitude.  Radial: (lam0(r, a), its exact unnormalized
 # flow lam(r, t), the least r_max at which that flow gives exact ghosts: the
-# perturbed datum's is Poincare's, off its bump, which ends at r = 0.8).
+# perturbed datum's is Poincare's, off its bump, which ends at r = 0.8; the
+# radius at which that flow is singular, math.inf if it is nowhere).
 # Torus: lam0(X, Y, L, a) on the box grid.
 RADIAL_DATA = {
-    "poincare": (lambda r, a: RD.poincare_lambda(r), RD.homothety_lambda, 0.0),
+    "poincare": (lambda r, a: RD.poincare_lambda(r), RD.homothety_lambda, 0.0,
+                 1.0),
     "perturbed-poincare": (RD.perturbed_poincare_lambda, RD.homothety_lambda,
-                           0.8),
+                           0.8, 1.0),
     "hyperbolic-ke": (lambda r, a: RD.ke_lambda(r),
-                      lambda r, t: RD.homothety_lambda(r, t + 0.5), 0.0),
+                      lambda r, t: RD.homothety_lambda(r, t + 0.5), 0.0, 1.0),
     "fubini-cap": (lambda r, a: RD.fubini_cap_lambda(r), RD.fubini_cap_lambda,
-                   0.0),
-    "flat": (lambda r, a: np.ones_like(r), lambda r, t: np.ones_like(r), 0.0),
+                   0.0, math.inf),
+    "flat": (lambda r, a: np.ones_like(r), lambda r, t: np.ones_like(r), 0.0,
+             math.inf),
 }
 TORUS_DATA = {
     "flat": lambda X, Y, L, a: np.ones_like(X),
@@ -191,13 +194,21 @@ def load_config(source) -> dict:
     if kind == "torus" and not chart.get("box_length", 0) > 0:
         errs.append("torus chart needs box_length > 0")
     if kind in KINDS and kind != "torus":
-        rmax = chart.get("r_max", 0)
+        rmax, nodes = chart.get("r_max", 0), chart.get("grid_resolution", 0)
         if not 0 < rmax < 1:
             errs.append("radial chart needs r_max in (0, 1)")
         elif (fl["boundary"] == "exact-homothety" and fl["initial"] in data
               and rmax < data[fl["initial"]][2]):
             errs.append(f"exact-homothety ghosts of {fl['initial']} need "
                         f"r_max >= {data[fl['initial']][2]}")
+        elif (nodes >= 8 and fl["boundary"] in BOUNDARIES
+              and fl["initial"] in data and fl["order"] in (4, 6)):
+            errs.extend(_ghost_errors(cfg))
+        first = 0.5 * (rmax / nodes) if nodes >= 8 else 0.0   # as RadialGrid
+        if 0 < rmax < 1 and cfg["tolerances"]["tracking_interior"] < first:
+            errs.append(f"tolerances.tracking_interior must be >= the first "
+                        f"node r = {first!r}: below it the tracking check "
+                        f"reads no node")
     if chart.get("complex_dimension", 1) != 1:
         errs.append("chart.complex_dimension must be 1: every flow is n = 1")
     want = "periodic-box" if kind == "torus" else "radial-disk"
@@ -226,6 +237,48 @@ def load_config(source) -> dict:
     if errs:
         raise ConfigError(errs)
     return cfg
+
+
+def _outer_ghost(rmax, nodes, order):
+    """The outermost ghost radius of a radial grid, placed as `RadialGrid`
+    places it: r_max (1 + (order/2 - 1/2) / nodes)."""
+    return rmax + (order // 2 - 0.5) * (rmax / nodes)
+
+
+def _ghost_errors(cfg):
+    """[] if a radial config's outer ghosts lie below the radius at which
+    the field they take is singular, else the one violation, naming the
+    least grid_resolution that fits.  The exact flows of the Poincare data
+    and the KE profile (the exact-ke ghosts, and phase 2's in a two-phase
+    run with given ghosts) blow up at r = 1; past it they come back finite
+    but wrong."""
+    fl, chart = cfg["flow"], cfg["chart"]
+    if fl["boundary"] == "extrapolate":
+        return []
+    singular = RADIAL_DATA["hyperbolic-ke"][3]      # the KE profile's
+    if fl["boundary"] == "exact-homothety":
+        own = RADIAL_DATA[fl["initial"]][3]
+        singular = (min(own, singular) if cfg["kind"] == "two-phase-normalized"
+                    else own)
+    rmax, nodes, order = chart["r_max"], chart["grid_resolution"], fl["order"]
+    if _outer_ghost(rmax, nodes, order) < singular:
+        return []
+    # the outer ghost falls as N grows: double N until it fits, then bisect
+    # (stepping N by one would not end where r_max is an ulp below 1)
+    lo, least = nodes, 2 * nodes
+    while _outer_ghost(rmax, least, order) >= singular:
+        lo, least = least, 2 * least
+    while least - lo > 1:
+        mid = (lo + least) // 2
+        if _outer_ghost(rmax, mid, order) >= singular:
+            lo = mid
+        else:
+            least = mid
+    return [f"the outermost {fl['boundary']} ghost sits at r = "
+            f"{_outer_ghost(rmax, nodes, order)!r}, at or past r = "
+            f"{singular!r}, where its field is singular: "
+            f"chart.grid_resolution must be >= {least} at r_max {rmax!r} "
+            f"and order {order}"]
 
 
 def _exact_flow(cfg):

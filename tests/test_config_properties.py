@@ -4,10 +4,11 @@ builds its datum and its ghosts on the run's grid."""
 import copy
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crflow import radial as RD
 from crflow import scenarios as SC
@@ -112,6 +113,8 @@ def test_load_config_raises_only_config_error(raw):
        boundary=st.sampled_from(SC.BOUNDARIES),
        r_max=st.floats(0.05, 0.98), nodes=st.integers(8, 48),
        order=st.sampled_from([4, 6]), amplitude=st.floats(-0.5, 0.5))
+@example(kind="radial", initial="flat", boundary="exact-ke", r_max=0.8,
+         nodes=10, order=6, amplitude=0.0)      # a ghost at r = 1.0
 def test_accepted_data_build_on_the_grid(kind, initial, boundary, r_max, nodes,
                                          order, amplitude):
     """Without running a flow: lam0 is finite and positive on the grid, and
@@ -138,6 +141,7 @@ def test_accepted_data_build_on_the_grid(kind, initial, boundary, r_max, nodes,
     assert (ghosts is None) == (boundary == "extrapolate")
     if ghosts is not None:
         rg = grid.outer_ghost_radii()
+        assert rg[-1] == SC._outer_ghost(r_max, nodes, order)
         g = ghosts(rg, 0.1)
         assert np.all(np.isfinite(g)) and g.min() > 0
         if boundary == "exact-homothety":
@@ -168,6 +172,80 @@ def test_load_config_accepts_h_exactly_when_the_table_fits_it(kind, h,
         assert len(e.violations) == len(h_errors) + mutate
     else:
         assert fits and not mutate
+
+
+def _radial(kind="radial", initial="flat", boundary="exact-ke", r_max=0.8,
+            nodes=10, order=6):
+    return {"scenario_name": "p", "kind": kind,
+            "chart": {"grid_resolution": nodes, "r_max": r_max},
+            "metrics": {"h": "euclidean"},
+            "flow": {"initial": initial, "boundary": boundary, "order": order,
+                     "t_max": 0.1, "phase1_t": 0.1, "s_max": 1.0}}
+
+
+@pytest.mark.parametrize("kind,initial,boundary,r_max,nodes,least", [
+    # the outermost of three ghosts at 0.84, 0.92, 1.00: lam_KE(1) = inf
+    ("radial", "flat", "exact-ke", 0.8, 10, 11),
+    # ghosts at 0.980, 1.039, 1.098, where (1 - r^2)^-2 is finite but wrong
+    ("two-phase-normalized", "perturbed-poincare", "exact-homothety", 0.95,
+     16, 48),
+    ("radial", "poincare", "exact-homothety", 0.8, 10, 11),
+    ("radial-normalized", "hyperbolic-ke", "exact-homothety", 0.8, 10, 11),
+    # phase 1 takes the cap's exact flow, phase 2 the KE ghosts
+    ("two-phase-normalized", "fubini-cap", "exact-homothety", 0.8, 10, 11),
+    # r_max one ulp below 1: the least grid is found by bisection, where a
+    # search stepping N by one would not end
+    ("radial", "poincare", "exact-homothety", 1.0 - 2**-53, 16,
+     45035996273704956),
+])
+def test_ghosts_at_or_past_the_singular_radius_are_rejected(
+        kind, initial, boundary, r_max, nodes, least):
+    """One ConfigError, naming the least grid_resolution that fits; that
+    grid is accepted."""
+    with pytest.raises(ConfigError) as ei:
+        SC.load_config(_radial(kind, initial, boundary, r_max, nodes))
+    [v] = ei.value.violations
+    assert f"chart.grid_resolution must be >= {least} " in v
+    SC.load_config(_radial(kind, initial, boundary, r_max, least))
+
+
+@pytest.mark.parametrize("kind,initial,boundary", [
+    ("radial", "fubini-cap", "exact-homothety"),
+    ("radial", "flat", "exact-homothety"),
+    ("radial", "poincare", "extrapolate"),
+    ("two-phase-normalized", "poincare", "extrapolate"),
+])
+def test_ghost_fields_regular_at_r_one_are_accepted(kind, initial, boundary):
+    """The cap's and the flat flow's ghosts are finite and exact past
+    r = 1, and extrapolated ghosts read no field."""
+    SC.load_config(_radial(kind, initial, boundary))
+
+
+def test_tracking_interior_below_the_first_node_is_rejected():
+    """Below r_max / (2 grid_resolution) the tracking check would mask every
+    node: poincare-homothety's first node is at 0.85/192 = 0.0044."""
+    path = os.path.join(SC.bundled_scenario_dir(), "poincare-homothety.json")
+    with open(path) as f:
+        raw = json.load(f)
+    first = 0.5 * (0.85 / 96)
+    for value in (0.001, np.nextafter(first, 0.0)):
+        raw["tolerances"]["tracking_interior"] = float(value)
+        with pytest.raises(ConfigError) as ei:
+            SC.load_config(raw)
+        assert [v.split(" ")[0] for v in ei.value.violations] == [
+            "tolerances.tracking_interior"]
+    raw["tolerances"]["tracking_interior"] = first
+    cfg = SC.load_config(raw)
+    assert SC._chk_tracking(cfg, _poincare_run_stub(cfg)).satisfied
+
+
+def _poincare_run_stub(cfg):
+    """A result with one exact frame at t = 0 on the config's grid."""
+    grid = RD.RadialGrid(cfg["chart"]["r_max"], cfg["chart"]["grid_resolution"],
+                         cfg["flow"]["order"])
+    frame = SimpleNamespace(time=0.0, lam=RD.poincare_lambda(grid.r))
+    run = SimpleNamespace(grid=grid, frames=[frame])
+    return SimpleNamespace(phase1=run, run=None)
 
 
 def test_metrics_g0_is_an_unknown_key():

@@ -144,6 +144,39 @@ def test_frakF_derivatives_match_mpmath(tau):
         assert all(F.derivative(float(x), k) == g for x, g in zip(pts, got))
 
 
+@pytest.mark.parametrize("spec", [CO.CutoffSpec(tau=0.02),
+                                  CO.CutoffSpec(tau=0.05),
+                                  CO.CutoffSpec(tau=0.1),
+                                  CO.CutoffSpec(tau=0.1, mollifier_width=2**-8)],
+                         ids=["tau0.02", "tau0.05", "tau0.1", "tau0.1-w2^-8"])
+def test_quadrature_integrand_is_phi_times_f_prime_bit_for_bit(spec):
+    """The float integrand that quad calls equals the array product
+    phi_eval(s) * f_derivatives(s, tau, 1) in every bit: on a dense grid
+    across and around the switch window, and on the 17 floats nearest each
+    of v = (s - phi_start)/width = 0, 1/2 and 1.  v = 0 is hit exactly in
+    every spec.  A width below tau^2 that is a power of two divides
+    exactly, so there v = 1/2 and v = 1 are hit exactly too."""
+    a, w = spec.phi_start, spec.mollifier_width
+    s = [np.linspace(a - 0.25 * w, a + 1.25 * w, 30001)]
+    hit = []
+    for target in (0.0, 0.5, 1.0):
+        near = [a + target * w]
+        for _ in range(8):
+            near = [np.nextafter(near[0], -1.0), *near, np.nextafter(near[-1], 2.0)]
+        near = np.array(near)
+        hit.append(bool(np.any((near - a) / w == target)))
+        s.append(near)
+    s = np.concatenate(s)
+    assert hit[0]
+    if spec.mollifier_width < spec.tau**2:
+        assert hit == [True, True, True]
+    ref = CO.phi_eval(s, spec) * CO.f_derivatives(s, spec.tau, 1)
+    F = CO.FrakF(spec)
+    got = np.array([F._integrand(float(x)) for x in s])
+    assert np.array_equal(got, ref)
+    assert np.any(ref == 0.0) and np.any((ref > 0) & (CO.phi_eval(s, spec) < 1))
+
+
 @pytest.mark.parametrize("tau", [0.02, 0.05, 0.1])
 def test_frakF_properties_check(tau):
     spec = CO.CutoffSpec(tau=tau)

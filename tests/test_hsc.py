@@ -68,6 +68,113 @@ def test_hsc_deterministic_given_seed():
     assert np.array_equal(a.maximizer, b.maximizer)
 
 
+def _hsc_ascent_reference(g, point, samples, ascent_steps=50, seed=0,
+                          top_k=8):
+    """hsc_max's sampling and ascent as they were written before the ascent
+    kept its gradient: the gradient is recomputed at every step, rejected or
+    not.  Returns (kappa, maximizer, gradient evaluations)."""
+    from crflow.curvature import _gauge_fix, _lex_smaller
+
+    def value(R, G, X):
+        num = np.einsum('ijkl,i,j,k,l->', R, X, np.conj(X), X, np.conj(X)).real
+        den = np.einsum('ij,i,j->', G, X, np.conj(X)).real ** 2
+        return num / den
+
+    def grad_of(R, G, X):
+        num = np.einsum('ijkl,i,j,k,l->', R, X, np.conj(X), X, np.conj(X)).real
+        nrm = np.einsum('ij,i,j->', G, X, np.conj(X)).real
+        dnum = (np.einsum('imkl,i,k,l->m', R, X, X, np.conj(X))
+                + np.einsum('ijkm,i,j,k->m', R, X, np.conj(X), X))
+        dden = 2.0 * nrm * np.einsum('im,i->m', G, X)
+        return (dnum * nrm**2 - num * dden) / nrm**4
+
+    pkg = chern_curvature(g, np.asarray(point, dtype=complex))
+    R, G = pkg.curvature, pkg.metric
+    n = G.shape[0]
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    num = np.einsum('ijkl,si,sj,sk,sl->s', R, X, np.conj(X), X, np.conj(X)).real
+    den = np.einsum('ij,si,sj->s', G, X, np.conj(X)).real ** 2
+    q = num / den
+    order = np.argsort(q)[::-1]
+    best_val, best_dir, grads = -np.inf, None, 0
+    for idx in order[:top_k]:
+        Xc = X[idx].copy()
+        val = q[idx]
+        eta = 0.2
+        for _ in range(ascent_steps):
+            grad = grad_of(R, G, Xc)
+            grads += 1
+            gn = np.linalg.norm(grad)
+            if gn < 1e-14:
+                break
+            Xn = Xc + eta * grad / gn
+            Xn /= np.linalg.norm(Xn)
+            vn = value(R, G, Xn)
+            if vn > val:
+                Xc, val = Xn, vn
+                eta *= 1.2
+            else:
+                eta *= 0.5
+                if eta < 1e-10:
+                    break
+        Xc = _gauge_fix(Xc)
+        if val > best_val + 1e-12:
+            best_val, best_dir = val, Xc
+        elif abs(val - best_val) <= 1e-12 and _lex_smaller(Xc, best_dir):
+            best_dir = Xc
+    return float(best_val), best_dir, grads
+
+
+HSC_CASES = {
+    "bergman": (M.bergman_ball(2), [np.array([0.25 + 0.1j, -0.2 + 0.15j]),
+                                    np.array([0.4 + 0j, 0.0 + 0.1j])]),
+    "conformal-torsion": (
+        M.conformal_metric(M.torsion_example(), M.radial_quadratic_field(0.2)),
+        [np.array([0.3 + 0.3j, -0.2 + 0.1j]), np.array([0.1 - 0.2j, 0.3 + 0j])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HSC_CASES))
+@pytest.mark.parametrize("seed", [0, 3])
+def test_hsc_ascent_equals_the_per_step_gradient_loop(name, seed, monkeypatch):
+    """Keeping the gradient across rejected steps, and the accepted point's
+    numerator and norm, changes neither kappa nor the maximizer in any bit;
+    it only evaluates fewer gradients.  (Where HSC is constant, as on the
+    Bergman ball, the gradient may vanish at once, and both loops stop.)"""
+    import crflow.curvature as CU
+    calls = []
+    grad = CU._hsc_grad
+    monkeypatch.setattr(CU, "_hsc_grad",
+                        lambda *a: calls.append(1) or grad(*a))
+    g, points = HSC_CASES[name]
+    for z in points:
+        calls.clear()
+        rep = hsc_max(g, z, samples=256, seed=seed)
+        kappa, maximizer, grads = _hsc_ascent_reference(g, z, 256, seed=seed)
+        assert rep.kappa == kappa
+        assert np.array_equal(rep.maximizer, maximizer)
+        assert 0 < len(calls) <= grads
+        if name == "conformal-torsion":
+            assert len(calls) < grads
+
+
+@pytest.mark.parametrize("name", sorted(HSC_CASES))
+def test_hsc_kappa_does_not_depend_on_the_torsion_term(name):
+    """The completion asks for kappa alone (torsion_term=False); it is the
+    kappa that "auto" reports beside its torsion norm."""
+    g, points = HSC_CASES[name]
+    for z in points:
+        auto = hsc_max(g, z, samples=256, seed=0)
+        bare = hsc_max(g, z, samples=256, seed=0, torsion_term=False)
+        assert bare.kappa == auto.kappa
+        assert np.array_equal(bare.maximizer, auto.maximizer)
+        assert bare.nabla_bar_T_norm == 0.0
+        if name == "conformal-torsion":
+            assert auto.nabla_bar_T_norm > 0.0
+
+
 def test_orthonormal_frame_convention():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

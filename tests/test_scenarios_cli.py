@@ -10,8 +10,8 @@ from click.testing import CliRunner
 from crflow import radial as RD
 from crflow import scenarios as SC
 from crflow.cli import main
-from crflow.artifacts import (REPORT_SCHEMA, TABLE_SCHEMA, read_run_csv,
-                              validate_schema)
+from crflow.artifacts import (REPORT_SCHEMA, TABLE_SCHEMA, plot_run_csv,
+                              read_run_csv, svg_line_plot, validate_schema)
 from crflow.errors import ConfigError, FlowBreakdownError, ManifestError
 
 FAST_TORUS = {
@@ -507,6 +507,66 @@ def test_cli_plot(tmp_path):
     svgs = list((out / "t" / "plots").glob("*.svg"))
     assert svgs
     assert "<svg" in svgs[0].read_text()
+
+
+ONE_PHASE_SVG = (
+    '<svg xmlns="http://www.w3.org/2000/svg" width="200" height="100">\n'
+    '<rect width="200" height="100" fill="white"/>\n'
+    '<polyline points="10.00,90.00 190.00,10.00" fill="none" '
+    'stroke="#1f6fb2" stroke-width="1.5"/>\n'
+    '<line x1="10" y1="90" x2="190" y2="90" stroke="black"/>\n'
+    '<line x1="10" y1="10" x2="10" y2="90" stroke="black"/>\n'
+    '<text x="100" y="20" text-anchor="middle" font-family="monospace" '
+    'font-size="14">q</text>\n'
+    '<text x="10" y="110" font-family="monospace" font-size="11">0.0</text>\n'
+    '<text x="190" y="110" text-anchor="end" font-family="monospace" '
+    'font-size="11">1.0</text>\n'
+    '<text x="5" y="90" text-anchor="end" font-family="monospace" '
+    'font-size="11">1.0</text>\n'
+    '<text x="5" y="15" text-anchor="end" font-family="monospace" '
+    'font-size="11">3.0</text>\n'
+    '</svg>')
+
+
+def test_svg_line_plot_one_phase_bytes_are_pinned():
+    """A run whose clock only rises plots as one polyline, byte for byte as
+    before plots split at a restarted clock; a blank value is skipped."""
+    assert svg_line_plot([0.0, 0.5, 1.0], [1.0, "", 3.0], "q", width=200,
+                         height=100, margin=10) == ONE_PHASE_SVG
+
+
+def test_plot_two_phase_run_draws_one_polyline_per_phase(tmp_path):
+    """run.csv holds phase 1's rows in t, then phase 2's in s from 0: each
+    phase is its own polyline, so no segment runs from t = phase1_t back to
+    s = 0."""
+    cfg = {"scenario_name": "two", "kind": "two-phase-normalized",
+           "metrics": {"h": "poincare-disk"},
+           "chart": {"grid_resolution": 16, "r_max": 0.5},
+           "flow": {"initial": "poincare", "boundary": "exact-homothety",
+                    "order": 4, "phase1_t": 0.2, "s_max": 0.5,
+                    "frame_dt": 0.25},
+           "checks": []}
+    SC.run_scenario(cfg, str(tmp_path))
+    run_dir = tmp_path / "two"
+    rows = read_run_csv(str(run_dir / "run.csv"))
+    phase = np.cumsum([0] + [b["time"] < a["time"]
+                             for a, b in zip(rows, rows[1:])])
+    assert phase[-1] == 1
+    written = plot_run_csv(str(run_dir))
+    counts = []
+    for path in written:
+        col = os.path.basename(path)[:-len(".svg")]
+        phases = {p for p, r in zip(phase, rows)
+                  if isinstance(r.get(col), float)}
+        with open(path) as f:
+            lines = [ln for ln in f if ln.startswith("<polyline")]
+        assert len(lines) == len(phases)
+        counts.append(len(lines))
+        for ln in lines:      # x rises along each polyline
+            xs = [float(p.split(",")[0])
+                  for p in ln.split('points="')[1].split('"')[0].split()]
+            assert xs == sorted(xs)
+    assert 2 in counts
 
 
 def test_cli_verify_exit_codes(tmp_path):
