@@ -100,10 +100,11 @@ class BarrierConfig:
 
     @property
     def barrier_domain_end(self):
-        """v(t) is finite exactly on [0, this); where c1 S = 0, v is the
-        constant n alpha + 1 and this is inf."""
+        """v(t) is finite exactly on [0, this); where c1 S <= 0, v is
+        finite on all of [0, inf) and this is inf: the constant
+        n alpha + 1 where c1 S = 0, and decreasing where c1 S < 0."""
         rate = 3.0 * self.c1 * (self.n * self.alpha + 1.0) ** 3 * self.s_frak
-        return 1.0 / rate if rate else math.inf
+        return 1.0 / rate if rate > 0.0 else math.inf
 
     def v(self, t, c1=None):
         c1 = self.c1 if c1 is None else c1

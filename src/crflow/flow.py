@@ -19,7 +19,10 @@ with its own error control, steps both torus forms and every radial metric
 flow, where accuracy allows steps far above the explicit limit; `rk4`,
 explicit RK4 under a step limit (`cfl_bound` for the flows), steps the
 masked disk, the radial potential form and the Chen oracle's Riccati ODEs,
-where SDIRK4 measures slower (see `rk4`).
+where SDIRK4 measures slower (see `rk4`).  A potential that never feeds
+back into the metric (the torus metric form's psi, the normalized radial
+flow's phi) is not stepped: `potential_integrator` moves it from one
+accepted state to the next, in the stepper's accept hook.
 `sdirk4` allocates its work arrays once per run and forms every stage sum,
 Newton residual and size in place, in the floating-point order of the
 formulas, so a step costs calls rather than temporaries and its frames are
@@ -38,6 +41,8 @@ radial or pointwise); constructing a torus flow with n >= 2 data raises.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -275,6 +280,91 @@ def sdirk4(y, t_end, rhs, factor, check, *, frame_dt=None, frame=None,
     return _march(y, t_end, advance, check, frame_dt, frame)
 
 
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1], by
+    Newton's method on the Legendre three-term recurrence: numpy.polynomial,
+    which has `leggauss`, costs 0.77 MB of resident memory to import."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(6):              # quadratic from 1e-3: 1e-6, 1e-12, 0
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return (1.0 - x) / 2.0, 1.0 / ((1.0 - x * x) * dp * dp)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(10)
+
+
+@functools.lru_cache(maxsize=8)
+def _panel_rule(panels):
+    """(B, gaps) for the 10-point Gauss-Legendre rule on `panels` equal
+    panels of [0, 1], nodes tau: B[k, i] = weight_i H_k(tau_i) over the
+    cubic Hermite basis H, and gaps = 1 - tau."""
+    tau = ((np.arange(panels)[:, None] + _GL_NODES) / panels).ravel()
+    s, u = tau * tau, (1.0 - tau) ** 2
+    basis = np.array([u * (1.0 + 2.0 * tau), s * (3.0 - 2.0 * tau),
+                      tau * u, s * (tau - 1.0)])
+    return basis * np.tile(_GL_WEIGHTS / panels, panels), 1.0 - tau
+
+
+def hermite_weights(decay, dt):
+    """(W00, W01, W10, W11) = int_0^1 e^(-decay dt (1 - tau)) H(tau) dtau
+    over the cubic Hermite basis H on [0, 1]: (1 - tau)^2 (1 + 2 tau),
+    tau^2 (3 - 2 tau), tau (1 - tau)^2 and -tau^2 (1 - tau).
+
+    They integrate p' = g - decay p over one step of length dt exactly when
+    g is cubic in t (see `potential_integrator`).  Each weight is accurate
+    to rounding at every decay dt >= 0: a 10-point Gauss-Legendre rule on
+    ceil(decay dt / 4) equal panels, on each of which the exponential
+    varies by at most e^4, where the rule's error is far below rounding.
+    The closed form through the cubic's particular solution cancels at small
+    decay dt (9.8e-9 off at dt = 1e-8, decay 1).  At decay dt = 0 the
+    weights are exactly (1/2, 1/2, 1/12, -1/12), the corrected trapezoid
+    rule.
+    """
+    x = decay * dt
+    if x == 0.0:
+        return 0.5, 0.5, 1 / 12, -1 / 12
+    basis, gaps = _panel_rule(math.ceil(x / 4.0))
+    return tuple((basis @ np.exp(-x * gaps)).tolist())
+
+
+def potential_integrator(p, decay, drive):
+    """`advance(t, y)` moves a potential p, in place, from the last state
+    that it was called on to (t, y), along
+
+        p' = g - decay p,       (g, g') = drive(t, y),
+
+    with g the forcing at that state and g' its time derivative.  Call it on
+    the initial state, which sets p's start, and on each accepted state
+    after it: p is no part of the stepped state, so it sets neither a step
+    size nor a Newton iteration.  The step is the variation-of-constants
+    (exponential) rule with g replaced by its cubic Hermite interpolant,
+
+        p <- e^(-decay dt) p + dt (W00 g_0 + W01 g_1)
+             + dt^2 (W10 g'_0 + W11 g'_1),
+
+    W = `hermite_weights(decay, dt)`: exact for cubic g, order 4 like the
+    stepper.  `drive` must return arrays that it does not overwrite later.
+    """
+    last = []
+
+    def advance(t, y):
+        g, dg = drive(t, y)
+        if last:
+            t0, g0, dg0 = last
+            dt = t - t0
+            w00, w01, w10, w11 = hermite_weights(decay, dt)
+            if decay:
+                p[...] *= math.exp(-decay * dt)
+            p[...] += dt * (w00 * g0 + w01 * g)
+            p[...] += dt * dt * (w10 * dg0 + w11 * dg)
+        last[:] = t, g, dg
+    return advance
+
+
 def _wrap_pad(u, k):
     """The n0 x n1 periodic field u with k wrapped nodes added on each side."""
     n0, n1 = u.shape
@@ -391,17 +481,20 @@ def periodic_solver(n, h):
 def run_torus_flow(lam0, box_length, t_end, *, mode="metric", frame_dt=None):
     """Integrate to t_end, returning (state, frames).
 
-    The "metric" mode advances (lam, psi) together, psi by
-    d_t psi = log(lam/lam0); the "potential" mode advances psi alone and
+    The "metric" mode steps lam alone and integrates psi, by
+    d_t psi = log(lam/lam0), from lam's accepted steps with
+    `potential_integrator` at zero decay: the corrected trapezoid rule
+    psi += dt ((w_0 + w_1)/2 - w(0)) + (dt^2/12) (w'_0 - w'_1), with
+    w = log lam and w' = ddbar(w)/lam, so psi sets neither a step size nor
+    a Newton iteration.  The "potential" mode advances psi alone and
     reconstructs lam.  Both step through `sdirk4`, whose Newton systems are
-    solved with `periodic_solver`: in the metric form for the lam row, with
-    the psi row eliminated exactly (x_psi = r_psi + hg x_lam / lam); in the
-    potential form with c from the reconstruction's range, its increments
-    and error measured on lam, as ddbar of psi's.  Frames are (t, lam, psi)
-    triples captured at uniform `frame_dt` targets (default t_end/20); steps
-    are clipped so frames land exactly on target.  Raises
-    FlowBreakdownError when lam falls to 1e-12 or turns non-finite, and
-    ValueError for any other mode.
+    solved with `periodic_solver`: in the metric form with c from lam's
+    range; in the potential form with c from the reconstruction's range,
+    its increments and error measured on lam, as ddbar of psi's.  Frames
+    are (t, lam, psi) triples captured at uniform `frame_dt` targets
+    (default t_end/20); steps are clipped so frames land exactly on
+    target.  Raises FlowBreakdownError when lam falls to 1e-12 or turns
+    non-finite, and ValueError for any other mode.
     """
     if mode not in ("metric", "potential"):
         raise ValueError(f"torus flow mode must be 'metric' or 'potential', "
@@ -412,33 +505,33 @@ def run_torus_flow(lam0, box_length, t_end, *, mode="metric", frame_dt=None):
     h = box_length / lam0.shape[0]
     node = lambda i: _node(i, lam0.shape)
     require_positive(lam0, 0.0, 1e-12, node)    # before Ric0 takes its log
-    ric0 = -ddbar_periodic(np.log(lam0), h)
+    log_lam0 = np.log(lam0)
+    ric0 = -ddbar_periodic(log_lam0, h)
     state = FlowState(t=0.0, h=h, omega0=lam0, ric0=ric0,
                       psi=np.zeros_like(lam0), omega_t=lam0)
     solver = periodic_solver(lam0.shape[0], h)
 
     if mode == "metric":
-        y = np.stack([lam0, state.psi])
-        measure = lambda d: d       # lam and psi, each as it is
+        y = lam0
+        measure = lambda d: d       # lam, as it is
 
-        def rhs(t, v, out):
-            out[0] = ddbar_periodic(np.log(v[0]), h)
-            np.log(np.divide(v[0], lam0, out=out[1]), out=out[1])
+        def rhs(t, lam, out):
+            out[...] = ddbar_periodic(np.log(lam), h)
 
-        def factor(t, v, hg):
-            """I - hg J, J = [[ddbar(./lam), 0], [diag(1/lam), 0]]."""
-            solve_lam = solver(v[0], hg)
+        def factor(t, lam, hg):
+            """I - hg J, J = ddbar(./lam)."""
+            return solver(lam, hg)
 
-            def solve(r):
-                out = np.empty_like(r)
-                out[0] = solve_lam(r[0])
-                out[1] = r[1] + hg * out[0] / v[0]
-                return out
-            return solve
+        def drive(t, lam):      # (log(lam/lam0), its time derivative)
+            w = np.log(lam)
+            return w - log_lam0, ddbar_periodic(w, h) / lam
 
-        def accept(t, v):
-            require_positive(v[0], t, 1e-12, node)
-            state.t, state.omega_t, state.psi = t, v[0], v[1]
+        advance_psi = potential_integrator(state.psi, 0.0, drive)
+
+        def accept(t, lam):
+            require_positive(lam, t, 1e-12, node)
+            advance_psi(t, lam)
+            state.t, state.omega_t = t, lam
     else:
         y = state.psi[None]
 

@@ -25,7 +25,9 @@ normalized run to s = 3.  The radial metric flows step through
 `flow.sdirk4`, implicit and L-stable, whichever the closure, each in the
 variable in which its model solution is polynomial in time: the
 unnormalized flow in lam (the homothety is linear in t), the normalized
-flow in v = log lam (flat data has v' = -1).  Both factor one banded matrix
+flow in v = log lam alone (flat data has v' = -1), its potential phi
+integrated from v's accepted steps by `flow.potential_integrator`, outside
+the Newton loop and the error control.  Both factor one banded matrix
 diag(d) - hg A through its row-scaled twin (`RadialGrid.band_solver`), which
 `dgbtrf` factors from the first m columns of the same ddbar array; the
 extrapolated block has A 1 = 0, which keeps a uniform state bitwise
@@ -33,11 +35,12 @@ uniform.  Their right-hand sides and solves write into `out` or into
 arrays kept per run, and `band_solver`'s solves run LAPACK in place.
 scipy.linalg, which holds `dgbmv`, `dgbtrf` and `dgbtrs`, is imported when
 the first `RadialGrid` is built, not with this module: `import crflow`
-loads numpy and no scipy module, and so does a torus run.  The explicit step would stay at h^2 min lam however smooth the
-solution: 141,967 steps for the 512-node homothety to t = 0.5, where SDIRK4
-takes 12 (frames every 0.05), and 96,500 for the flat normalized run to
-s = 3, where it takes 226.  Only the potential form steps through `flow.rk4`
-under `cfl_bound`.  Positivity is guarded with `flow.require_positive`.
+loads numpy and no scipy module, and so does a torus run.  The explicit
+step would stay at h^2 min lam however smooth the solution: 141,967 steps
+for the 512-node homothety to t = 0.5, where SDIRK4 takes 12 (frames every
+0.05), and 96,500 for the flat normalized run to s = 3, where it takes 38.
+Only the potential form steps through `flow.rk4` under `cfl_bound`.
+Positivity is guarded with `flow.require_positive`.
 
 Exact references on the disk (checked symbolically):
     homothety      lam(r, t) = (1 + 2t) (1 - r^2)^-2      (Ric = -2 g at t=0)
@@ -51,7 +54,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .flow import cfl_bound, require_positive, rk4, sdirk4
+from .flow import (cfl_bound, potential_integrator, require_positive,
+                   rk4, sdirk4)
 
 # scipy's banded BLAS/LAPACK, bound at the first `RadialGrid`
 dgbmv = dgbtrf = dgbtrs = None
@@ -413,62 +417,62 @@ def run_normalized_radial(lam0, r_max, s_end, *, nodes=128, boundary=None,
     for the metric (typically the exact KE profile, s-independent), and None
     extrapolates.
 
-    The run steps v = log lam and phi through `flow.sdirk4`, as
+    The run steps v = log lam alone through `flow.sdirk4`, as
 
-        d_s v = ddbar(v) e^-v - 1,    d_s phi = v - v(0) - phi,
+        d_s v = ddbar(v) e^-v - 1,
 
     in which flat data is linear in s (v' = -1), so the step is exact there
-    and the extrapolated closure keeps a flat run bitwise uniform.  Its v
-    block is the banded diag(d) - hg A with d = lam + hg ddbar(v), the full
-    Jacobian, diagonal term included, row-scaled by 1/lam.
+    and the extrapolated closure keeps a flat run bitwise uniform.  Its
+    Newton matrix is the banded diag(d) - hg A with d = lam + hg ddbar(v),
+    the full Jacobian, diagonal term included, row-scaled by 1/lam.  phi,
+    which never feeds back into lam, is integrated from v's accepted steps
+    by `flow.potential_integrator` with decay 1 and forcing g = v - v(0),
+    g' = d_s v: exact on flat data, where g = -s, and of order 4 like the
+    stepper, and neither a Newton iteration nor the step size waits on it.
     """
     grid = RadialGrid(r_max, nodes, order)
     lam_init = lam0(grid.r) if callable(lam0) else np.array(lam0, float)
-    y = np.zeros((2, grid.m))
-    v_init = y[0] = np.log(lam_init)
+    v_init = np.log(lam_init)
     run = RadialRun(grid=grid, normalized=True, h_reference=h_reference,
                     boundary=boundary)
     ghosts_at, given = run.log_ghosts_at, boundary is not None
-    w = np.empty((2, grid.m))                   # the solve's work array
-    w_v, w_phi = w
+    w = np.empty(grid.m)                        # the solve's work array
 
-    def rhs(ss, y, out):
-        v, f_v, f_phi = y[0], out[0], out[1]
-        np.exp(np.negative(v, out=f_v), out=f_v)
-        f_v *= grid.ddbar(v, ghosts_at(ss))
-        f_v -= 1.0
-        np.subtract(v, v_init, out=f_phi)
-        f_phi -= y[1]
+    def rhs(ss, v, out):
+        np.exp(np.negative(v, out=out), out=out)
+        out *= grid.ddbar(v, ghosts_at(ss))
+        out -= 1.0
 
-    def factor(ss, y, hg):
-        """I - hg J, J = [[diag(e^-v) (A - diag(ddbar v)), 0], [I, -I]]: the
-        v block is diag(1/lam) (diag(d) - hg A), and phi's correction
-        follows from v's."""
-        lam = np.exp(y[0])
-        d = lam + hg * grid.ddbar(y[0], ghosts_at(ss))
+    def factor(ss, v, hg):
+        """I - hg J, J = diag(e^-v) (A - diag(ddbar v)): it is
+        diag(1/lam) (diag(d) - hg A), so its solve is `band_solver`'s after
+        the row scale lam / d."""
+        lam = np.exp(v)
+        d = lam + hg * grid.ddbar(v, ghosts_at(ss))
         solve_v = grid.band_solver(d, hg, given)
         scale = lam / d
-        damp = 1.0 + hg
+        return lambda r: solve_v(np.multiply(scale, r, out=w))
 
-        def solve(r):
-            solve_v(np.multiply(scale, r[0], out=w_v))
-            np.multiply(w_v, hg, out=w_phi)
-            np.add(w_phi, r[1], out=w_phi)
-            np.divide(w_phi, damp, out=w_phi)
-            return w
-        return solve
+    def drive(ss, v):           # (v - v(0), d_s v) at an accepted state
+        dv = np.empty(grid.m)
+        rhs(ss, v, dv)
+        return v - v_init, dv
 
-    def frame(step, ss, y):
+    phi = np.zeros(grid.m)
+    advance_phi = potential_integrator(phi, 1.0, drive)
+
+    def frame(step, ss, v):
         # the first frame is lam0 as given, not exp(log(lam0)), so that a
         # second phase starts on the first one's last frame bit for bit
-        lam = np.exp(y[0]) if step else lam_init.copy()
-        run.frames.append(Frame(step, ss, lam, phi=y[1].copy(),
-                                phi_prime=np.log(lam / lam_init) - y[1]))
+        lam = np.exp(v) if step else lam_init.copy()
+        run.frames.append(Frame(step, ss, lam, phi=phi.copy(),
+                                phi_prime=np.log(lam / lam_init) - phi))
 
-    def check(ss, y):
-        require_positive(np.exp(y[0]), ss, min_eig_floor, grid.location)
+    def check(ss, v):
+        require_positive(np.exp(v), ss, min_eig_floor, grid.location)
+        advance_phi(ss, v)
 
-    _, run.steps_taken, _, err = sdirk4(y, s_end, rhs, factor, check,
+    _, run.steps_taken, _, err = sdirk4(v_init, s_end, rhs, factor, check,
                                         frame_dt=frame_ds or s_end / 50.0,
                                         frame=frame)
     if err is not None:

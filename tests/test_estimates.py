@@ -49,6 +49,27 @@ def test_barrier_config_invariants():
         assert bc.v(np.array([0.0, 1.0, 1e9])).tolist() == [3.0, 3.0, 3.0]
 
 
+@pytest.mark.parametrize("kappa0", [-1.0, 0.0, 1.0])
+def test_barrier_domain_end_is_where_v_blows_up(kappa0):
+    """v is finite on [0, barrier_domain_end) and infinite past it, for
+    S < 0, S = 0 and S > 0 (n = 1, alpha = 1, beta = 0, so S = kappa0):
+    where S <= 0 the domain is all of [0, inf), and v decreases (S < 0) or
+    stays n alpha + 1 = 2 (S = 0)."""
+    bc = ES.BarrierConfig(n=1, alpha=1.0, kappa0=kappa0)
+    assert bc.s_frak == kappa0
+    end = bc.barrier_domain_end
+    assert end > 0.0
+    assert bc.predicted_existence_time == 1.5 * end
+    if kappa0 > 0:
+        assert end == pytest.approx(1.0 / (3.0 * 8.0 * kappa0))
+        assert np.isfinite(bc.v(end * 0.999)) and bc.v(end * 1.001) == np.inf
+    else:
+        assert end == np.inf
+        v = bc.v(np.array([0.0, 1.0, 1e3, 1e9]))
+        assert np.all(np.isfinite(v)) and v[0] == 2.0
+        assert np.all(np.diff(v) < 0) if kappa0 < 0 else np.all(v == 2.0)
+
+
 def test_trace_barrier_on_homothety(homothety_run):
     """Lambda(t) = 1/(1+2t) decays, so the barrier holds with slack from t=0
     and any c1 >= 0 keeps it; frames past blow-up are out-of-domain."""

@@ -1,5 +1,7 @@
 import os
 import warnings
+from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ from crflow import scenarios as SC
 from crflow.errors import FlowBreakdownError
 from crflow.flow import (_GAMMA, _SDIRK_A, _SDIRK_C, _SDIRK_E, _march, rtol)
 from crflow.flow import (DiskGrid, cfl_bound, ddbar_periodic, ddbar_periodic_4th,
-                         periodic_solver, periodic_symbol, require_positive,
-                         rk4, run_disk2d_flow, run_torus_flow,
+                         hermite_weights, periodic_solver, periodic_symbol,
+                         potential_integrator, require_positive, rk4,
+                         run_disk2d_flow, run_torus_flow,
                          scalar_curvature_periodic, sdirk4)
 
 
@@ -22,9 +25,14 @@ def bumpy_lam0(N, L=1.0, amp=0.05):
 
 
 def test_flat_torus_stationary():
+    """lam = 1 is a fixed point, and psi, integrated from lam's steps,
+    stays exactly 0 at every frame."""
     state, frames = run_torus_flow(np.ones((16, 16)), 1.0, 0.01)
     assert np.abs(state.omega_t - 1.0).max() == 0.0
     assert np.abs(state.psi).max() == 0.0
+    assert len(frames) == 21
+    assert all(np.all(lam == 1.0) and np.all(psi == 0.0)
+               for _, lam, psi in frames)
 
 
 def test_torus_reconstruction_identity():
@@ -39,11 +47,80 @@ def test_torus_positivity_and_diagnostics():
 
 
 def test_metric_vs_potential_equivalence():
+    """The metric form's psi, integrated from lam's accepted steps, matches
+    the potential form's stepped psi to 1e-12 at every frame."""
     lam0 = bumpy_lam0(32)
-    sm, _ = run_torus_flow(lam0, 1.0, 0.004, mode="metric")
-    sp, _ = run_torus_flow(lam0, 1.0, 0.004, mode="potential")
+    sm, fm = run_torus_flow(lam0, 1.0, 0.004, mode="metric")
+    sp, fp = run_torus_flow(lam0, 1.0, 0.004, mode="potential")
     assert np.abs(sm.omega_t - sp.omega_t).max() < 1e-9
     assert np.abs(sm.psi - sp.psi).max() < 1e-9
+    assert [f[0] for f in fm] == [f[0] for f in fp]
+    assert max(np.max(np.abs(a[2] - b[2])) for a, b in zip(fm, fp)) <= 1e-12
+
+
+# a cubic forcing g(t) = sum c_k t^k
+_CUBIC = (0.3, -1.7, 2.9, -4.1)
+
+
+def _cubic(t):
+    c0, c1, c2, c3 = _CUBIC
+    return c0 + t * (c1 + t * (c2 + t * c3))
+
+
+def _cubic_prime(t):
+    _, c1, c2, c3 = _CUBIC
+    return c1 + t * (2 * c2 + t * 3 * c3)
+
+
+def _exact_exp_integral(t0, t1):
+    """int_t0^t1 e^-(t1 - s) g(s) ds for the cubic g, exactly, as a
+    Fraction: the series of e^-x about 0 (40 terms, for t1 - t0 <= 1) on
+    each monomial of g expanded about t0."""
+    a, d = Fraction(t0), Fraction(t1) - Fraction(t0)
+    total = Fraction(0)
+    for k in range(4):          # (a + u)^k = sum C(k, i) a^(k - i) u^i
+        coef = Fraction(_CUBIC[k])
+        for i in range(k + 1):
+            c = coef * comb(k, i) * a ** (k - i)
+            total += c * sum((-1) ** j * d ** (j + i + 1)
+                             * Fraction(factorial(i), factorial(j + i + 1))
+                             for j in range(40))
+    return total
+
+
+@pytest.mark.parametrize("dt", [1e-8, 1e-4, 0.25, 1.0])
+def test_hermite_weights_exact_on_a_cubic_forcing(dt):
+    """dt (W00 g_0 + W01 g_1) + dt^2 (W10 g'_0 + W11 g'_1) with decay 1 is
+    int_0^dt e^-(dt - s) g(s) ds for cubic g to rounding, from dt = 1e-8
+    (where the closed form through the cubic's particular solution is
+    9.8e-9 off) to dt = 1."""
+    w00, w01, w10, w11 = hermite_weights(1.0, dt)
+    got = (dt * (w00 * _cubic(0.0) + w01 * _cubic(dt))
+           + dt * dt * (w10 * _cubic_prime(0.0) + w11 * _cubic_prime(dt)))
+    scale = dt * sum(abs(c) for c in _CUBIC)
+    assert abs(Fraction(got) - _exact_exp_integral(0.0, dt)) <= 4e-16 * scale
+
+
+def test_hermite_weights_at_zero_decay_are_corrected_trapezoid():
+    for decay, dt in ((0.0, 1e-8), (0.0, 0.3), (0.0, 1e6), (1.0, 0.0)):
+        assert hermite_weights(decay, dt) == (0.5, 0.5, 1 / 12, -1 / 12)
+
+
+def test_potential_integrator_exact_on_a_cubic_forcing():
+    """p' = g - p from p(0) = 0 over uneven steps: p equals
+    int_0^t e^-(t - s) g(s) ds at every step's end, to rounding."""
+    p = np.zeros(1)
+    advance = potential_integrator(
+        p, 1.0, lambda t, y: (np.array([_cubic(t)]),
+                              np.array([_cubic_prime(t)])))
+    advance(0.0, None)
+    assert p[0] == 0.0
+    t = 0.0
+    for dt in (1e-6, 0.01, 0.3, 0.05, 0.7):
+        t += dt
+        advance(t, None)
+        want = _exact_exp_integral(0.0, t)
+        assert abs(Fraction(float(p[0])) - want) <= 1e-15
 
 
 def test_torus_area_preserved():

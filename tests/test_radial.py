@@ -135,14 +135,21 @@ def test_ddbar_of_constant_is_exactly_zero(order, nodes, outer):
 
 
 def test_flat_normalized_run_is_uniform_and_exact():
-    """d_s lam = -lam on flat data with extrapolated ghosts: every frame is
-    bitwise uniform and matches e^-s to 1e-12 relative."""
-    run = RD.run_normalized_radial(lambda r: np.ones_like(r), 0.9, 1.0,
+    """d_s lam = -lam on flat data with extrapolated ghosts, as
+    flat-disk-normalized runs it (64 nodes, r_max 0.9, s to 3, frames every
+    0.1): every frame is bitwise uniform and matches e^-s to 1e-12
+    relative.  v = -s is linear, so SDIRK4 takes 38 steps, set by v alone,
+    and phi, integrated from v's steps by the Hermite-exponential rule, is
+    1 - s - e^-s at every frame to 1e-14."""
+    run = RD.run_normalized_radial(lambda r: np.ones_like(r), 0.9, 3.0,
                                    nodes=64, frame_ds=0.1)
-    assert len(run.frames) == 11
+    assert len(run.frames) == 31
+    assert run.steps_taken == 38
     for fr in run.frames:
+        s = fr.time
         assert np.all(fr.lam == fr.lam[0])
-        assert abs(fr.lam[0] / np.exp(-fr.time) - 1.0) <= 1e-12
+        assert abs(fr.lam[0] / np.exp(-s) - 1.0) <= 1e-12
+        assert np.abs(fr.phi - (1.0 - s - np.exp(-s))).max() <= 1e-14
 
 
 def test_steps_taken_pinned():
